@@ -2,8 +2,9 @@
 
 Every command writes its artifacts plus a manifest.json into --out; reruns
 with the same configuration and seed reproduce the deterministic outputs byte
-for byte (training logs include wall-clock columns and are excluded from that
-guarantee, as is the manifest itself).
+for byte.  The wall-clock outputs are excluded from that guarantee: the
+wallclock_ms column of the train log, qipo's timing.json, and the manifest
+itself.
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.
 """
@@ -305,7 +306,6 @@ def run_qipo(cfg: dict, out_dir: str) -> dict:
         eval_every=cfg["eval.every"],
         eval_n=cfg["eval.n"],
         policy_kind=cfg["policy.kind"],
-        q_mode=cfg["q.mode"],
     )
     result = qipo_iterate(policy, q_fn, dataset, sched, qcfg, rng.derive(2), spec=spec)
     ckpt = os.path.join(out_dir, "checkpoint.bin")
@@ -315,7 +315,6 @@ def run_qipo(cfg: dict, out_dir: str) -> dict:
         meta={"model_kind": "score" if cfg["policy.kind"] == "score" else "velocity",
               "path": sched.config(), "qipo": True},
     )
-    timing = _time_action_generation(result.policy, cfg, sched, dataset, rng.derive(9))
     report_path = os.path.join(out_dir, "report.json")
     final_row = result.eval_rows[-1] if result.eval_rows else None
     with open(report_path, "w") as fh:
@@ -328,7 +327,6 @@ def run_qipo(cfg: dict, out_dir: str) -> dict:
                     "analytic_target": [float(v) for v in final_row["analytic_target"]],
                     "sw_distance": final_row["sw_distance"],
                 },
-                "sampler_timing_ms_per_action": timing,
                 "support_renewals": result.support_renewals,
             },
             fh, indent=2, sort_keys=True,
@@ -344,9 +342,12 @@ def run_qipo(cfg: dict, out_dir: str) -> dict:
             means = ",".join(repr(float(v)) for v in row["policy_mean"])
             tgts = ",".join(repr(float(v)) for v in row["analytic_target"])
             fh.write(f"{row['epoch']},{row['cycles']},{means},{tgts},{row['sw_distance']!r}\n")
-    write_manifest(
-        out_dir, "qipo", cfg, cfg["seed"], ["checkpoint.bin", "log.csv", "report.json"], started
-    )
+    timing = _time_action_generation(result.policy, cfg, sched, dataset, rng.derive(9))
+    with open(os.path.join(out_dir, "timing.json"), "w") as fh:
+        json.dump({"sampler_timing_ms_per_action": timing}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    outputs = ["checkpoint.bin", "log.csv", "report.json", "timing.json"]
+    write_manifest(out_dir, "qipo", cfg, cfg["seed"], outputs, started)
     rows = result.eval_rows
     return {"checkpoint": ckpt, "log": log, "report": report_path,
             "final": rows[-1] if rows else None}

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
-
 from .config import ConfigError, build_energy, build_schedule
 from .datasets import make_dataset
 from .grids import grid_sample, grid_tv_distance

@@ -3,8 +3,9 @@
 Config files are plain text, one `key = value` per line, with dotted keys,
 `#` comments, and no environment overrides.  Every command writes a manifest
 recording the resolved configuration; rerunning from the manifest reproduces
-the command's deterministic outputs byte for byte (logs that include
-wall-clock columns are the documented exception).
+the command's deterministic outputs byte for byte.  The wall-clock outputs are
+the documented exception: the wallclock_ms column of the train log and qipo's
+timing.json.
 """
 
 from __future__ import annotations

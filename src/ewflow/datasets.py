@@ -12,7 +12,7 @@ import numpy as np
 
 from .mixtures import GaussianMixture
 
-__all__ = ["make_dataset", "DATASETS", "default_energy_config"]
+__all__ = ["make_dataset", "DATASETS"]
 
 
 def _eight_gaussians() -> GaussianMixture:
@@ -100,26 +100,3 @@ def make_dataset(name: str) -> GaussianMixture:
         return DATASETS[name]()
     except KeyError:
         raise KeyError(f"unknown dataset {name!r}; available: {sorted(DATASETS)}") from None
-
-
-def default_energy_config(name: str) -> dict:
-    """Canonical classifier energy used with each 2D dataset: squared distance
-    to a preferred location, scaled so nearby modes stay populated at beta=1."""
-    anchors = {
-        "8gaussians": [4.0, 0.0],
-        "25gaussians": [4.0, 4.0],
-        "ring": [3.0, 0.0],
-        "2spirals": [4.0, 0.0],
-        "moons": [2.0, 1.4],
-        "checkerboard": [3.0, 3.0],
-        "bimodal2d": [2.0, 0.0],
-    }
-    if name not in anchors:
-        raise KeyError(f"no default energy for dataset {name!r}")
-    c = anchors[name]
-    return {
-        "energy.kind": "quadratic",
-        "energy.diag": "0.25,0.25",
-        "energy.center": f"{c[0]},{c[1]}",
-        "energy.classifier": "true",
-    }

@@ -8,7 +8,6 @@ level.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,26 +63,6 @@ class GaussianMixture:
         """Build a mixture, normalizing the weights exactly."""
         w = np.asarray(weights, dtype=float)
         return GaussianMixture(w / w.sum(), np.asarray(means, float), np.asarray(variances, float))
-
-    def to_json(self) -> str:
-        comps = [
-            {"weight": float(w), "mean": list(map(float, m)), "var": list(map(float, v))}
-            for w, m, v in zip(self.weights, self.means, self.variances)
-        ]
-        return json.dumps({"dim": self.dim, "components": comps})
-
-    @staticmethod
-    def from_json(text: str) -> "GaussianMixture":
-        obj = json.loads(text)
-        comps = obj["components"]
-        gmm = GaussianMixture.create(
-            [c["weight"] for c in comps],
-            [c["mean"] for c in comps],
-            [c["var"] for c in comps],
-        )
-        if gmm.dim != obj["dim"]:
-            raise ValueError(f"declared dim {obj['dim']} != component dim {gmm.dim}")
-        return gmm
 
 
 def _as_points(gmm: GaussianMixture, x) -> tuple[np.ndarray, bool]:

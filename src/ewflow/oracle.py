@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .energies import EnergySpec, log_normalization_constant, tilt_mixture
+from .energies import EnergySpec, tilt_mixture
 from .grids import DensityGrid, mixture_bounds
 from .mixtures import GaussianMixture, gmm_logpdf, gmm_score, path_marginal
 from .paths import PathSchedule, clamp_time, velocity_from_score
@@ -362,11 +362,14 @@ class GuidedOracle:
 
     # ------------------------------------------------------------- diagnostics
 
-    def continuity_residual(self, t: float, resolution: int = 512, dt: float = 1e-3) -> float:
-        """Integral of |d/dt q_t + div(q_t u_hat_t)| over the grid.
+    def continuity_residual(
+        self, t: float, resolution: int = 512, dt: float = 1e-3, velocity=None
+    ) -> float:
+        """Integral of |d/dt q_t + div(q_t u_t)| over the grid.
 
         Time derivative by central difference, divergence by second-order
-        central differences on the cell-center lattice.
+        central differences on the cell-center lattice.  u_t is the guided
+        velocity unless a velocity callable (pts, t) -> u is given.
         """
         if self.dim != 2:
             raise ValueError("continuity residual is a 2D grid check")
@@ -381,7 +384,7 @@ class GuidedOracle:
         q_minus = self._qt_values(pts, t - dt, route)
         dq_dt = (q_plus - q_minus) / (2.0 * dt)
         q = self._qt_values(pts, t, route)
-        u = self.guided_velocity(pts, t, route=route)
+        u = self.guided_velocity(pts, t, route=route) if velocity is None else velocity(pts, t)
         fx = (q * u[:, 0]).reshape(res, res)
         fy = (q * u[:, 1]).reshape(res, res)
         # values are laid out with y varying along axis 0

@@ -15,10 +15,10 @@ import numpy as np
 
 from .metrics import sliced_wasserstein
 from .nn import AdamState, MlpModel, adam_step, backward, forward, forward_cached, soft_update
-from .paths import T_EPS, PathSchedule, cond_velocity, perturb, velocity_from_score
+from .paths import T_EPS, PathSchedule, cond_velocity, perturb
 from .rng import Rng
-from .sampling import sample_ode
-from .training import batch_softmax
+from .sampling import model_velocity_fn, sample_ode
+from .training import _weighted_field_loss, batch_softmax
 
 __all__ = [
     "OfflineDataset",
@@ -68,39 +68,6 @@ class OfflineDataset:
     @property
     def action_dim(self) -> int:
         return self.actions.shape[1]
-
-    def save_csv(self, path) -> None:
-        ds, da = self.state_dim, self.action_dim
-        cols = (
-            [f"state{i}" for i in range(ds)]
-            + [f"action{i}" for i in range(da)]
-            + ["reward"]
-            + [f"next_state{i}" for i in range(ds)]
-            + ["done"]
-        )
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for i in range(len(self)):
-                row = (
-                    list(self.states[i]) + list(self.actions[i]) + [self.rewards[i]]
-                    + list(self.next_states[i]) + [int(self.terminals[i])]
-                )
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-    @staticmethod
-    def load_csv(path) -> "OfflineDataset":
-        with open(path) as fh:
-            cols = fh.readline().strip().split(",")
-            rows = np.array([list(map(float, ln.split(","))) for ln in fh if ln.strip()])
-        ds = sum(c.startswith("state") for c in cols)
-        da = sum(c.startswith("action") for c in cols)
-        i = 0
-        states = rows[:, i : i + ds]; i += ds
-        actions = rows[:, i : i + da]; i += da
-        rewards = rows[:, i]; i += 1
-        next_states = rows[:, i : i + ds]; i += ds
-        terminals = rows[:, i].astype(bool)
-        return OfflineDataset(states, actions, rewards, next_states, terminals)
 
 
 @dataclass(frozen=True)
@@ -209,16 +176,10 @@ def soft_value_iteration(spec: ChainMdpSpec, beta: float, tol: float = 1e-12, ma
 # ------------------------------------------------------------------ policies
 
 
-def _policy_loss(model, kind, sched, a_t, t, targets_eps, actions, states, weights):
-    if kind == "score":
-        target = targets_eps  # noise-prediction form (see training module conventions)
-    else:
-        target = cond_velocity(sched, a_t, actions, t)
-    pred, cache = forward_cached(model, a_t, t, context=states)
-    resid = pred - target
-    loss = float((weights * (resid**2).sum(axis=1)).sum())
-    grads = backward(model, cache, 2.0 * weights[:, None] * resid)
-    return loss, grads
+def _policy_loss(model, kind, sched, a_t, t, eps, actions, states, weights):
+    """Conditional matching of a | x: noise target for score policies, velocity for flow."""
+    target = eps if kind == "score" else cond_velocity(sched, a_t, actions, t)
+    return _weighted_field_loss(model, a_t, target, weights, t, context=states)
 
 
 def behavior_pretrain(
@@ -266,19 +227,9 @@ def sample_policy_actions(
     states = np.atleast_2d(np.asarray(states, dtype=float))
     reps = np.repeat(states, n_per_state, axis=0)
     meta = {"model_kind": "velocity" if kind == "velocity" else "score"}
-
-    def vfn(x, t):
-        return model_velocity_fn_batch(model, meta, sched, reps, x, t)
-
+    vfn = model_velocity_fn(model, meta, sched, context=reps)
     out = sample_ode(vfn, sched, len(reps), model.out_dim, rng, steps=ode_steps)
     return out.reshape(len(states), n_per_state, model.out_dim)
-
-
-def model_velocity_fn_batch(model, meta, sched, contexts, x, t):
-    pred = forward(model, x, t, context=contexts)
-    if meta["model_kind"] == "score":
-        return velocity_from_score(sched, x, -pred / float(sched.sigma(t)), t)
-    return pred
 
 
 def build_support_set(
@@ -432,7 +383,6 @@ class QipoConfig:
     eval_every: int = 5
     eval_n: int = 4000
     policy_kind: str = "score"
-    q_mode: str = "oracle"
     divergence_factor: float = 10.0
 
 

@@ -121,8 +121,14 @@ def cfg_compose(score_uncond: np.ndarray, score_cond: np.ndarray, beta: float) -
     return (1.0 - beta) * su + beta * sc
 
 
+# Context tokens of the two heads of a classifier-pair model.
 _CTX_NULL = np.array([1.0, 0.0])
 _CTX_COND = np.array([0.0, 1.0])
+
+
+def _row_context(context, n: int):
+    """A (d,) context shared by all n rows, or an (n, d) one per row, as (n, d)."""
+    return None if context is None else np.broadcast_to(context, (n, np.shape(context)[-1]))
 
 
 def model_score_fn(
@@ -137,6 +143,8 @@ def model_score_fn(
     Score-style checkpoints store noise predictors; the score at (x, t) is
     -n(x, t) / sigma_t.  Classifier-pair checkpoints compose the null-token
     and class-token heads with the affine guidance rule before rescaling.
+    A context is either one (d,) vector for every row of x or an (n, d)
+    array with one row per row of x.
     """
     kind = meta.get("model_kind", "score")
     if kind == "velocity":
@@ -165,7 +173,7 @@ def model_score_fn(
         return fn
 
     def fn(x, t):
-        ctx = None if context is None else np.broadcast_to(context, (len(x), len(context)))
+        ctx = _row_context(context, len(x))
         return -forward(model, x, t, context=ctx) / float(sched.sigma(t))
 
     return fn
@@ -178,13 +186,15 @@ def model_velocity_fn(
     guidance_beta: float | None = None,
     context: np.ndarray | None = None,
 ):
-    """Velocity callable (x, t) -> v; score-style models are converted pointwise."""
+    """Velocity callable (x, t) -> v; score-style models are converted pointwise.
+
+    The context is shaped as in model_score_fn.
+    """
     kind = meta.get("model_kind", "velocity")
     if kind == "velocity":
 
         def fn(x, t):
-            ctx = None if context is None else np.broadcast_to(context, (len(x), len(context)))
-            return forward(model, x, t, context=ctx)
+            return forward(model, x, t, context=_row_context(context, len(x)))
 
         return fn
     score_fn = model_score_fn(model, meta, sched, guidance_beta, context)

@@ -137,26 +137,6 @@ def _check_guidance_composition_identity():
     return worst < 1e-6, f"max |affine - exact| at unit scale {worst:.2e}"
 
 
-def _continuity_residual(oracle, t, resolution, velocity_override=None):
-    ref = oracle._reference_grid(resolution)
-    pts = ref.centers()
-    hx = (ref.x_max - ref.x_min) / resolution
-    hy = (ref.y_max - ref.y_min) / resolution
-    dt = 1e-3
-    q_plus = oracle._qt_values(pts, t + dt, "analytic")
-    q_minus = oracle._qt_values(pts, t - dt, "analytic")
-    dq_dt = (q_plus - q_minus) / (2 * dt)
-    q = oracle._qt_values(pts, t, "analytic")
-    if velocity_override is None:
-        u = oracle.guided_velocity(pts, t, route="analytic")
-    else:
-        u = velocity_override(pts, t)
-    fx = (q * u[:, 0]).reshape(resolution, resolution)
-    fy = (q * u[:, 1]).reshape(resolution, resolution)
-    div = np.gradient(fy, hy, axis=0) + np.gradient(fx, hx, axis=1)
-    return float(np.abs(dq_dt.reshape(resolution, resolution) + div).sum() * hx * hy)
-
-
 def _check_continuity(mutations=frozenset(), resolution=768):
     gmm = make_dataset("8gaussians")
     energy = EnergySpec.quadratic([0.25, 0.25], beta=1.0, center=[4.0, 0.0], classifier=True)
@@ -170,7 +150,7 @@ def _check_continuity(mutations=frozenset(), resolution=768):
                 flipped = -_o.guided_score(pts, t, route="analytic")
                 return velocity_from_score(_s, pts, flipped, t)
 
-        worst = max(worst, _continuity_residual(oracle, 0.5, resolution, override))
+        worst = max(worst, oracle.continuity_residual(0.5, resolution, velocity=override))
     return worst < 5e-3, f"max integrated residual {worst:.2e} (budget 5e-3)"
 
 

@@ -17,17 +17,18 @@ weight is numerically intractable near the data end where the target
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .datasets import make_dataset
 from .energies import EnergySpec
 from .mixtures import GaussianMixture, gmm_sample
-from .nn import AdamState, MlpModel, adam_step, backward, forward, forward_cached
+from .nn import AdamState, MlpModel, adam_step, backward, forward_cached
 from .oracle import GuidedOracle
 from .paths import T_EPS, PathSchedule, cond_velocity, perturb
 from .rng import Rng
+from .sampling import _CTX_COND, _CTX_NULL
 
 __all__ = [
     "WeightedBatch",
@@ -133,10 +134,6 @@ def loss_ced(model: MlpModel, batch: WeightedBatch, sched: PathSchedule, beta_no
     )
 
 
-_CTX_NULL = np.array([1.0, 0.0])
-_CTX_COND = np.array([0.0, 1.0])
-
-
 def make_classifier_labels(data: np.ndarray, energy: EnergySpec, rng: Rng) -> np.ndarray:
     """Binary labels with P(c=1 | x) = exp(-E(x)); requires a classifier energy."""
     p = energy.prob_c(data)
@@ -201,21 +198,29 @@ def _marginal_weights(oracle: GuidedOracle, t: float) -> np.ndarray:
     return np.exp(log_p - e_t - log_z) * oracle._node_area
 
 
-def loss_efm_exact(model: MlpModel, oracle: GuidedOracle, t_nodes):
-    """Marginal-form flow loss: weighted squared error against the guided field."""
+def _marginal_exact(model: MlpModel, oracle: GuidedOracle, t_nodes, form: str):
+    """Marginal-form loss on the node set; form "flow" or "score" picks the target."""
     total = 0.0
     acc_w = [np.zeros_like(w) for w in model.weights]
     acc_b = [np.zeros_like(b) for b in model.biases]
     for t in t_nodes:
-        nodes, *_ = _exact_prep(oracle, t)
+        nodes, _, sig2, _, _ = _exact_prep(oracle, t)
         w = _marginal_weights(oracle, t) / len(t_nodes)
-        target = oracle.guided_velocity(nodes, t, route="quad")
+        if form == "flow":
+            target = oracle.guided_velocity(nodes, t, route="quad")
+        else:
+            target = -np.sqrt(sig2) * oracle.guided_score(nodes, t, route="quad")
         loss, (gw, gb) = _weighted_field_loss(model, nodes, target, w, float(t))
         total += loss
         for i in range(len(acc_w)):
             acc_w[i] += gw[i]
             acc_b[i] += gb[i]
     return total, (acc_w, acc_b)
+
+
+def loss_efm_exact(model: MlpModel, oracle: GuidedOracle, t_nodes):
+    """Marginal-form flow loss: weighted squared error against the guided field."""
+    return _marginal_exact(model, oracle, t_nodes, "flow")
 
 
 def loss_ed_exact(model: MlpModel, oracle: GuidedOracle, t_nodes):
@@ -225,19 +230,7 @@ def loss_ed_exact(model: MlpModel, oracle: GuidedOracle, t_nodes):
     score under the package's score parameterization; weights carry the same
     sigma_t^2 time factor as loss_ced.
     """
-    total = 0.0
-    acc_w = [np.zeros_like(w) for w in model.weights]
-    acc_b = [np.zeros_like(b) for b in model.biases]
-    for t in t_nodes:
-        nodes, _, sig2, _, _ = _exact_prep(oracle, t)
-        w = _marginal_weights(oracle, t) / len(t_nodes)
-        target = -np.sqrt(sig2) * oracle.guided_score(nodes, t, route="quad")
-        loss, (gw, gb) = _weighted_field_loss(model, nodes, target, w, float(t))
-        total += loss
-        for i in range(len(acc_w)):
-            acc_w[i] += gw[i]
-            acc_b[i] += gb[i]
-    return total, (acc_w, acc_b)
+    return _marginal_exact(model, oracle, t_nodes, "score")
 
 
 def _conditional_exact(model: MlpModel, oracle: GuidedOracle, t_nodes, form: str):

@@ -128,3 +128,38 @@ def test_missing_checkpoint_is_runtime_error(trained):
         main, ["sample", "--checkpoint", str(root / "nope.bin"), "--out", str(root / "z")]
     )
     assert result.exit_code == 2  # click's own path validation
+
+
+TINY_QIPO = """
+env.n_data = 256
+seed = 3
+m_support = 4
+k3 = 2
+batch = 64
+pretrain.steps = 100
+pretrain.lr = 1e-2
+pretrain.batch = 64
+sampler.steps = 5
+eval.every = 1
+eval.n = 200
+model.hidden = 16
+model.embed = 8
+"""
+
+
+def test_qipo_rerun_is_byte_identical(tmp_path):
+    cfg = tmp_path / "qipo.cfg"
+    cfg.write_text(TINY_QIPO)
+    out = tmp_path / "q1"
+    result = CliRunner().invoke(main, ["qipo", "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["outputs"]) == {"checkpoint.bin", "log.csv", "report.json", "timing.json"}
+    assert "sampler_timing_ms_per_action" in json.loads((out / "timing.json").read_text())
+    out2 = tmp_path / "q2"
+    result = CliRunner().invoke(
+        main, ["rerun", "--manifest", str(out / "manifest.json"), "--out", str(out2)]
+    )
+    assert result.exit_code == 0, result.output
+    for name in ("report.json", "log.csv", "checkpoint.bin"):
+        assert (out / name).read_bytes() == (out2 / name).read_bytes(), name

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ewflow.datasets import DATASETS, default_energy_config, make_dataset
+from ewflow.datasets import DATASETS, make_dataset
 from ewflow.grids import DensityGrid, mixture_bounds
 from ewflow.mixtures import gmm_density
 
@@ -25,10 +25,3 @@ def test_2d_datasets_integrate_to_one_on_padded_grid(name):
 def test_unknown_dataset():
     with pytest.raises(KeyError, match="unknown dataset"):
         make_dataset("nope")
-
-
-def test_default_energy_configs_reference_catalog():
-    for name in ("8gaussians", "bimodal2d", "ring"):
-        cfg = default_energy_config(name)
-        assert cfg["energy.kind"] == "quadratic"
-        assert cfg["energy.classifier"] == "true"

@@ -96,14 +96,6 @@ def test_path_marginal_matches_perturbation_sampling():
     assert abs(x_t.var() - want_var) < 0.02
 
 
-def test_json_round_trip():
-    gmm = make_dataset("25gaussians")
-    back = GaussianMixture.from_json(gmm.to_json())
-    assert np.allclose(back.weights, gmm.weights)
-    assert np.allclose(back.means, gmm.means)
-    assert np.allclose(back.variances, gmm.variances)
-
-
 def test_mixture_arrays_immutable():
     gmm = make_dataset("ring")
     with pytest.raises(ValueError):

@@ -35,16 +35,6 @@ def test_bandit_dataset_shapes_and_rewards():
     assert np.all(ds.terminals)
 
 
-def test_dataset_csv_round_trip(tmp_path):
-    ds = make_bandit_dataset(BanditSpec(w=[1.0]), 64, Rng(1))
-    path = tmp_path / "dataset.csv"
-    ds.save_csv(path)
-    back = OfflineDataset.load_csv(path)
-    assert np.allclose(back.actions, ds.actions)
-    assert np.allclose(back.rewards, ds.rewards)
-    assert np.array_equal(back.terminals, ds.terminals)
-
-
 def test_behavior_pretrain_matches_behavior_moments():
     spec = BanditSpec(w=[1.0])
     ds = make_bandit_dataset(spec, 8192, Rng(2))

@@ -7,7 +7,7 @@ from ewflow.datasets import make_dataset
 from ewflow.energies import EnergySpec, tilt_mixture
 from ewflow.metrics import sliced_wasserstein
 from ewflow.mixtures import gmm_sample, gmm_score, path_marginal
-from ewflow.nn import MlpModel
+from ewflow.nn import MlpModel, forward
 from ewflow.paths import PathSchedule, T_EPS, velocity_from_score
 from ewflow.rng import Rng
 from ewflow.sampling import (
@@ -166,6 +166,22 @@ def test_model_fn_validation():
         model_score_fn(beta_model, {"model_kind": "score"}, sched, guidance_beta=1.0)
     with pytest.raises(ValueError, match="guidance beta"):
         model_score_fn(beta_model, {"model_kind": "score", "beta_max": 5.0}, sched)
+
+
+def test_model_velocity_fn_per_row_and_shared_context():
+    sched = PathSchedule.vp()
+    model = MlpModel.init(2, 2, Rng(13), hidden=(8,), embed_dim=4, context_dim=3)
+    x = Rng(14).normal((6, 2))
+    ctx = Rng(15).normal((6, 3))
+    v = model_velocity_fn(model, {"model_kind": "velocity"}, sched, context=ctx)(x, 0.4)
+    for i in range(len(x)):
+        row = forward(model, x[i : i + 1], 0.4, context=ctx[i : i + 1])[0]
+        assert np.allclose(v[i], row, rtol=1e-12, atol=1e-14)
+    for kind in ("velocity", "score"):
+        meta = {"model_kind": kind}
+        shared = model_velocity_fn(model, meta, sched, context=ctx[0])(x, 0.4)
+        tiled = model_velocity_fn(model, meta, sched, context=np.tile(ctx[0], (6, 1)))(x, 0.4)
+        assert np.array_equal(shared, tiled)
 
 
 def test_sampler_config_validation():
