@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import DensityGrid
+from .grids import DensityGrid, quadrature_nodes
 from .mixtures import GaussianMixture
 
 __all__ = ["EnergySpec", "tilt_mixture", "log_normalization_constant", "normalization_constant"]
@@ -184,21 +184,7 @@ def log_normalization_constant(p0, energy: EnergySpec) -> float:
     """log E_{x ~ p0}[exp(-beta E(x))], closed form when available else quadrature."""
     if isinstance(p0, GaussianMixture) and energy.has_closed_tilt():
         return tilt_mixture(p0, energy)[1]
-    if isinstance(p0, GaussianMixture):
-        base = DensityGrid.from_mixture(p0)
-        nodes, log_mass = base.centers(), np.log(np.maximum(base.masses().ravel(), 1e-300))
-    elif isinstance(p0, DensityGrid):
-        nodes, log_mass = p0.centers(), np.log(np.maximum(p0.masses().ravel(), 1e-300))
-    else:
-        raise TypeError(f"unsupported base distribution {type(p0).__name__}")
-    e = np.asarray(energy(nodes), dtype=float)
-    if not np.all(np.isfinite(e)):
-        raise ValueError("energy is not finite on the quadrature support")
-    lw = log_mass - energy.beta * e
-    top = lw.max()
-    if not np.isfinite(top):
-        raise ValueError("all quadrature terms underflowed in the normalization constant")
-    return float(top + np.log(np.exp(lw - top).sum()))
+    return quadrature_nodes(p0, energy).log_z
 
 
 def normalization_constant(p0, energy: EnergySpec) -> float:

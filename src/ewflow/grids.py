@@ -1,4 +1,4 @@
-"""2D density grids: midpoint quadrature, cell sampling, and TV distance."""
+"""2D density grids, quadrature node sets, cell sampling, and TV distance."""
 
 from __future__ import annotations
 
@@ -7,10 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mixtures import GaussianMixture, gmm_density
+from .mixtures import GaussianMixture, gmm_density, gmm_logpdf
 from .rng import Rng
 
-__all__ = ["DensityGrid", "grid_sample", "grid_tv_distance"]
+__all__ = ["DensityGrid", "QuadratureNodes", "quadrature_nodes", "grid_sample", "grid_tv_distance"]
 
 
 @dataclass
@@ -142,6 +142,56 @@ def mixture_bounds(gmm: GaussianMixture, pad_sigmas: float = 4.0):
     lo = gmm.means.min(axis=0) - pad
     hi = gmm.means.max(axis=0) + pad
     return (lo[0], hi[0]), (lo[1], hi[1])
+
+
+@dataclass(frozen=True)
+class QuadratureNodes:
+    """Midpoint-rule nodes of a base density p0 with an energy E on them.
+
+    points (N, d) are the node positions, log_mass (N,) the log of each
+    node's normalized p0 mass, cell_area the volume of one cell, energy (N,)
+    E at each node, and log_z = log sum_n mass_n exp(-beta E_n), the
+    quadrature value of log E_{p0}[exp(-beta E)].
+    """
+
+    points: np.ndarray
+    log_mass: np.ndarray
+    cell_area: float
+    energy: np.ndarray
+    log_z: float
+
+
+def quadrature_nodes(base, energy, grid_res: int = 256, pad_sigmas: float = 4.0) -> QuadratureNodes:
+    """Node set of a DensityGrid (its own cells), a 2D mixture (a grid_res^2
+    grid over its box padded by pad_sigmas) or a 1D mixture (grid_res^2 cells
+    on the line out to 8 standard deviations)."""
+    if isinstance(base, DensityGrid):
+        points, mass, area = base.centers(), base.masses().ravel(), base.cell_area
+    elif not isinstance(base, GaussianMixture):
+        raise TypeError(f"unsupported base distribution {type(base).__name__}")
+    elif base.dim == 2:
+        grid = DensityGrid.from_mixture(base, grid_res, pad_sigmas)
+        points, mass, area = grid.centers(), grid.masses().ravel(), grid.cell_area
+    elif base.dim == 1:
+        lo = float(base.means.min() - 8.0 * np.sqrt(base.variances.max()))
+        hi = float(base.means.max() + 8.0 * np.sqrt(base.variances.max()))
+        n = grid_res * grid_res  # match the 2D node budget in 1D
+        area = (hi - lo) / n
+        points = (lo + area * (np.arange(n) + 0.5))[:, None]
+        dens = np.exp(gmm_logpdf(base, points))
+        mass = dens * area / (dens * area).sum()
+    else:
+        raise ValueError("quadrature nodes are only built for 1D or 2D bases")
+    log_mass = np.log(np.maximum(mass, 1e-300))
+    e = np.asarray(energy(points), dtype=float)
+    if not np.all(np.isfinite(e)):
+        raise ValueError("energy is not finite on the quadrature nodes")
+    lw = log_mass - energy.beta * e
+    top = lw.max()
+    if not np.isfinite(top):
+        raise ValueError("all quadrature terms underflowed in the normalization constant")
+    log_z = float(top + np.log(np.exp(lw - top).sum()))
+    return QuadratureNodes(points, log_mass, area, e, log_z)
 
 
 def grid_sample(grid: DensityGrid, rng: Rng, n: int) -> np.ndarray:

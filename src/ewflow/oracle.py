@@ -5,27 +5,36 @@ guided marginals q_t, the time-dependent energy
 
     E_t(x) = -log E_{x0 | x}[exp(-beta E(x0))],
 
-the guided velocity field, and the guided score all have either closed forms
-(mixture base + linear/quadratic energy) or midpoint-quadrature forms on a
-node set.  Both routes are exposed so each can check the other.
+the guided velocity field, and the guided score each have two routes: closed
+forms by mixture algebra (mixture base + linear/quadratic energy), and
+midpoint quadrature over one node set (grids.quadrature_nodes).  The two
+routes share no arithmetic, so each checks the other.
 
-The guided velocity is the posterior average of per-datum velocities with
-Boltzmann reweighting:
+On the quadrature route one Gaussian kernel K_t(x, x0) = N(x; mu_t x0,
+sigma_t^2 I) is evaluated against the nodes and reduced to the posterior of
+x0 given x_t = x under the node weights m_n exp(-beta E_n):
 
-    u_hat_t(x) = E_{x0 | x}[ u_t(x | x0) * exp(-beta E(x0)) ] / exp(-E_t(x)),
+    log p_t(x) = log sum_n m_n K_t(x, x0_n)
+    log q_t(x) = log sum_n m_n exp(-beta E_n) K_t(x, x0_n) - log Z
+    E_t(x)     = log p_t(x) - log q_t(x) - log Z
 
-and the guided score has the same form with conditional scores in place of
-velocities.  Guidance built from a classifier probability p(c|x) = exp(-E)
-admits two inequivalent score compositions: exponent-inside (exact) and
-exponent-outside (what affine score mixing produces); both are provided.
+and the guided score is -(x - mu_t E_q[x0 | x]) / sigma_t^2, the posterior
+average of per-datum scores.  The guided velocity is that score mapped by
+paths.velocity_from_score on both routes.
+
+Guidance built from a classifier probability p(c|x) = exp(-E) admits two
+inequivalent score compositions: exponent-inside (exact) and exponent-outside
+(what affine score mixing produces); both are provided.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .energies import EnergySpec, tilt_mixture
-from .grids import DensityGrid, mixture_bounds
+from .grids import DensityGrid, QuadratureNodes, mixture_bounds, quadrature_nodes
 from .mixtures import GaussianMixture, gmm_logpdf, gmm_score, path_marginal
 from .paths import PathSchedule, clamp_time, velocity_from_score
 
@@ -34,18 +43,13 @@ __all__ = ["GuidedOracle"]
 _CHUNK = 4096
 
 
-def _logsumexp(a: np.ndarray, axis: int = -1):
-    top = a.max(axis=axis, keepdims=True)
-    out = top[..., 0] + np.log(np.exp(a - top).sum(axis=axis))
-    return out
-
-
 class GuidedOracle:
     """Exact guided marginals, fields, and scores for one (p0, E, path) triple.
 
-    base may be a GaussianMixture or a normalized DensityGrid.  Quadrature
-    uses the base's own nodes (mixture bases get a midpoint grid over their
-    padded bounding box).  Computed q_t grids are cached per time.
+    base may be a GaussianMixture or a normalized DensityGrid.  The
+    quadrature route uses the node set `nodes`, built on first use (a
+    DensityGrid base supplies its own cells).  Computed q_t grids are cached
+    per time.
     """
 
     def __init__(
@@ -55,20 +59,18 @@ class GuidedOracle:
         sched: PathSchedule,
         grid_res: int = 256,
         pad_sigmas: float = 4.0,
-        bounds=None,
     ):
         self.base = base
         self.energy = energy
         self.sched = sched
         self.grid_res = grid_res
+        self.pad_sigmas = pad_sigmas
         self._qt_cache: dict[tuple[float, float], DensityGrid] = {}
 
         if isinstance(base, GaussianMixture):
             self.analytic = energy.has_closed_tilt()
             self.dim = base.dim
-            self.bounds = bounds
-            if self.dim == 2 and bounds is None:
-                self.bounds = mixture_bounds(base, pad_sigmas)
+            self.bounds = mixture_bounds(base, pad_sigmas) if self.dim == 2 else None
         elif isinstance(base, DensityGrid):
             if not base.is_normalized():
                 raise ValueError("grid base must be normalized")
@@ -78,58 +80,61 @@ class GuidedOracle:
         else:
             raise TypeError(f"unsupported base {type(base).__name__}")
 
-        self._nodes = None
-        self._log_mass = None
-        self._node_energy = None
-        self._node_area = None
         if self.analytic:
             self._tilted, self._log_z = tilt_mixture(base, energy)
         else:
             self._tilted = None
             self._log_z = None
 
-    # ------------------------------------------------------------------ nodes
+    @cached_property
+    def nodes(self) -> QuadratureNodes:
+        """The quadrature node set of the base, with the energy on it."""
+        return quadrature_nodes(self.base, self.energy, self.grid_res, self.pad_sigmas)
 
-    def _ensure_nodes(self):
-        if self._nodes is not None:
-            return
-        if isinstance(self.base, DensityGrid):
-            self._nodes = self.base.centers()
-            self._log_mass = np.log(np.maximum(self.base.masses().ravel(), 1e-300))
-            self._node_area = self.base.cell_area
-        elif self.dim == 2:
-            grid = DensityGrid.from_mixture(self.base, self.grid_res, bounds=self.bounds)
-            self._nodes = grid.centers()
-            self._log_mass = np.log(np.maximum(grid.masses().ravel(), 1e-300))
-            self._node_area = grid.cell_area
-        elif self.dim == 1:
-            lo = float(self.base.means.min() - 8.0 * np.sqrt(self.base.variances.max()))
-            hi = float(self.base.means.max() + 8.0 * np.sqrt(self.base.variances.max()))
-            n = self.grid_res * self.grid_res  # match 2D node budget in 1D
-            h = (hi - lo) / n
-            centers = (lo + h * (np.arange(n) + 0.5))[:, None]
-            dens = np.exp(gmm_logpdf(self.base, centers))
-            self._nodes = centers
-            self._log_mass = np.log(np.maximum(dens * h / (dens * h).sum(), 1e-300))
-            self._node_area = h
-        else:
-            raise ValueError("quadrature nodes are only built for 1D or 2D bases")
-        e = np.asarray(self.energy(self._nodes), dtype=float)
-        if not np.all(np.isfinite(e)):
-            raise ValueError("energy is not finite on the quadrature nodes")
-        self._node_energy = e
+    # ------------------------------------------------------------- quadrature
 
-    def _log_kernel(self, x: np.ndarray, t: float) -> np.ndarray:
-        """(B, N) log N(x; mu_t x0_n, sigma_t^2 I) against all nodes."""
+    def _log_kernel(self, x: np.ndarray, t: float, sources: np.ndarray) -> np.ndarray:
+        """(B, N) log N(x; mu_t s_n, sigma_t^2 I) against every source point s_n."""
         mu = float(self.sched.mu(t))
         sig2 = float(self.sched.sigma(t)) ** 2
-        d = self.dim
+        d = x.shape[1]
         sq = (
             (x**2).sum(-1)[:, None]
-            - 2.0 * mu * (x @ self._nodes.T)
-            + mu**2 * (self._nodes**2).sum(-1)[None, :]
+            - 2.0 * mu * (x @ sources.T)
+            + mu**2 * (sources**2).sum(-1)[None, :]
         )
         return -0.5 * sq / sig2 - 0.5 * d * np.log(2.0 * np.pi * sig2)
+
+    def _posterior(self, x: np.ndarray, t: float, beta: float, mean=False, prior=False):
+        """Posterior of x0 given x_t = x under node weights m_n exp(-beta E_n).
+
+        Returns (log_norm, post_mean, log_p): the log-normaliser
+        log sum_n m_n exp(-beta E_n) K_t(x, x0_n); with mean, the posterior
+        mean of x0; with prior, the beta = 0 log-normaliser log p_t(x) taken
+        from the same kernel block.  Each block of _CHUNK rows evaluates the
+        kernel once.
+        """
+        nodes = self.nodes
+        log_norm = np.empty(len(x))
+        post_mean = np.empty_like(x) if mean else None
+        log_p = np.empty(len(x)) if prior else None
+        for sl in _chunks(len(x)):
+            lk = self._log_kernel(x[sl], t, nodes.points)
+            lk += nodes.log_mass
+            if prior:
+                log_p[sl] = _reduce(lk)[0]
+            if beta:
+                lk -= beta * nodes.energy
+            log_norm[sl], m = _reduce(lk, nodes.points if mean else None)
+            if mean:
+                post_mean[sl] = m
+        return log_norm, post_mean, log_p
+
+    def _score_from_mean(self, x: np.ndarray, t: float, post_mean: np.ndarray) -> np.ndarray:
+        """Posterior average of per-datum scores -(x - mu_t x0) / sigma_t^2."""
+        mu = float(self.sched.mu(t))
+        sig2 = float(self.sched.sigma(t)) ** 2
+        return -(x - mu * post_mean) / sig2
 
     # -------------------------------------------------------------- constants
 
@@ -137,9 +142,7 @@ class GuidedOracle:
         """log E_{p0}[exp(-beta E)]; constant in both x and t."""
         if self.analytic:
             return self._log_z
-        self._ensure_nodes()
-        lw = self._log_mass - self.energy.beta * self._node_energy
-        return float(_logsumexp(lw[None])[0])
+        return self.nodes.log_z
 
     def tilted_base(self) -> GaussianMixture:
         if not self.analytic:
@@ -153,18 +156,27 @@ class GuidedOracle:
         t = float(clamp_time(t))
         if self._use_analytic(route):
             return gmm_logpdf(path_marginal(self.base, self.sched, t), x)
-        self._ensure_nodes()
-        out = np.empty(len(x))
-        for sl in _chunks(len(x)):
-            out[sl] = _logsumexp(self._log_kernel(x[sl], t) + self._log_mass[None])
-        return out
+        return self._posterior(x, t, 0.0)[0]
 
-    def marginal_score(self, x, t: float, route: str = "auto"):
+    def guided_logdensity(self, x, t: float, route: str = "auto"):
+        """log q_t(x).  The quadrature route normalizes by the node set's own
+        log Z, so q_t integrates to one over the same nodes at every t."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         t = float(clamp_time(t))
         if self._use_analytic(route):
-            return gmm_score(path_marginal(self.base, self.sched, t), x)
-        return self._weighted_cond_score(x, t, beta=0.0)
+            return gmm_logpdf(path_marginal(self._tilted, self.sched, t), x)
+        return self._posterior(x, t, self.energy.beta)[0] - self.nodes.log_z
+
+    def guided_logdensity_and_score(self, x, t: float):
+        """(log q_t(x), guided score at x) on the quadrature route, from one
+        kernel pass; the exact marginal losses take weights and targets here."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        t = float(clamp_time(t))
+        log_norm, post_mean, _ = self._posterior(x, t, self.energy.beta, mean=True)
+        return log_norm - self.nodes.log_z, self._score_from_mean(x, t, post_mean)
+
+    def marginal_score(self, x, t: float, route: str = "auto"):
+        return self.guided_score(x, t, beta=0.0, route=route)
 
     def intermediate_energy(self, x, t: float, beta: float | None = None, route: str = "auto"):
         """E_t(x) = -log E_{x0|x}[exp(-beta E(x0))]; tends to -log Z as t -> 1."""
@@ -178,18 +190,8 @@ class GuidedOracle:
             log_q = gmm_logpdf(path_marginal(tilted, self.sched, t), x) + log_z
             log_p = gmm_logpdf(path_marginal(self.base, self.sched, t), x)
             return log_p - log_q
-        self._ensure_nodes()
-        out = np.empty(len(x))
-        for sl in _chunks(len(x)):
-            lk = self._log_kernel(x[sl], t) + self._log_mass[None]
-            num = _logsumexp(lk - b * self._node_energy[None])
-            den = _logsumexp(lk)
-            if not np.all(np.isfinite(num)):
-                raise FloatingPointError(
-                    "all quadrature terms underflowed while evaluating the intermediate energy"
-                )
-            out[sl] = -(num - den)
-        return out
+        log_norm, _, log_p = self._posterior(x, t, b, prior=True)
+        return -(log_norm - log_p)
 
     # --------------------------------------------------------- guided fields
 
@@ -201,51 +203,15 @@ class GuidedOracle:
         if self._use_analytic(route):
             tilted, _ = tilt_mixture(self.base, self.energy, b)
             return gmm_score(path_marginal(tilted, self.sched, t), x)
-        return self._weighted_cond_score(x, t, b)
+        return self._score_from_mean(x, t, self._posterior(x, t, b, mean=True)[1])
 
     def guided_velocity(self, x, t: float, beta: float | None = None, route: str = "auto"):
-        """Velocity field generating q_t.
-
-        The quadrature route evaluates the Boltzmann-weighted posterior
-        average of per-datum velocities directly; the analytic route converts
-        the guided score, so the two are independent checks of each other.
-        """
+        """Velocity field generating q_t: the guided score of the same route
+        mapped by velocity_from_score.  The check of either route is the
+        other one (quadrature against closed-form mixture algebra)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         t = float(clamp_time(t))
-        b = self.energy.beta if beta is None else float(beta)
-        if self._use_analytic(route):
-            return velocity_from_score(self.sched, x, self.guided_score(x, t, b, "analytic"), t)
-        self._ensure_nodes()
-        mu = float(self.sched.mu(t))
-        a_coef = float(self.sched.drift_coef(t))
-        c_coef = float(self.sched.score_coef(t))
-        sig2 = float(self.sched.sigma(t)) ** 2
-        out = np.empty_like(x)
-        for sl in _chunks(len(x)):
-            w = self._posterior_weights(x[sl], t, b)
-            # u_t(x|x0_n) = a x + c * (-(x - mu x0_n)/sigma^2), averaged over nodes
-            mean_x0 = w @ self._nodes
-            cond = -(x[sl] - mu * mean_x0) / sig2
-            out[sl] = a_coef * x[sl] + c_coef * cond
-        return out
-
-    def _posterior_weights(self, x: np.ndarray, t: float, beta: float) -> np.ndarray:
-        lk = self._log_kernel(x, t) + self._log_mass[None] - beta * self._node_energy[None]
-        top = lk.max(axis=1, keepdims=True)
-        if not np.all(np.isfinite(top)):
-            raise FloatingPointError("posterior weights underflowed at every node")
-        w = np.exp(lk - top)
-        return w / w.sum(axis=1, keepdims=True)
-
-    def _weighted_cond_score(self, x: np.ndarray, t: float, beta: float) -> np.ndarray:
-        self._ensure_nodes()
-        mu = float(self.sched.mu(t))
-        sig2 = float(self.sched.sigma(t)) ** 2
-        out = np.empty_like(x)
-        for sl in _chunks(len(x)):
-            w = self._posterior_weights(x[sl], t, beta)
-            out[sl] = -(x[sl] - mu * (w @ self._nodes)) / sig2
-        return out
+        return velocity_from_score(self.sched, x, self.guided_score(x, t, beta, route), t)
 
     # ---------------------------------------------- classifier-style guidance
 
@@ -311,49 +277,34 @@ class GuidedOracle:
         return grid
 
     def _qt_by_reweighting(self, t: float, res: int) -> DensityGrid:
-        self._ensure_nodes()
         b = self.energy.beta
-        if t <= 0.0:
-            if isinstance(self.base, DensityGrid):
-                vals = self.base.values * np.exp(
-                    -b * self._node_energy.reshape(self.base.values.shape)
-                )
-                return DensityGrid(
-                    self.base.x_min, self.base.x_max, self.base.y_min, self.base.y_max, vals
-                ).normalized()
-            grid = DensityGrid.from_mixture(self.base, res, bounds=self.bounds)
-            e = np.asarray(self.energy(grid.centers()), dtype=float).reshape(grid.values.shape)
+        if t > 0.0:
+            ref = self._reference_grid(res)
+            vals = np.exp(self.guided_logdensity(ref.centers(), t, route="quad")).reshape(res, res)
+            return DensityGrid(ref.x_min, ref.x_max, ref.y_min, ref.y_max, vals).normalized()
+        if isinstance(self.base, DensityGrid):
+            vals = self.base.values * np.exp(-b * self.nodes.energy.reshape(self.base.values.shape))
             return DensityGrid(
-                grid.x_min, grid.x_max, grid.y_min, grid.y_max, grid.values * np.exp(-b * e)
+                self.base.x_min, self.base.x_max, self.base.y_min, self.base.y_max, vals
             ).normalized()
-        tq = float(clamp_time(t))
-        ref = self._reference_grid(res)
-        pts = ref.centers()
-        log_p = self.marginal_logdensity(pts, tq, route="quad")
-        e_t = self.intermediate_energy(pts, tq, route="quad")
-        vals = np.exp(log_p - e_t - self.log_z()).reshape(res, res)
-        return DensityGrid(ref.x_min, ref.x_max, ref.y_min, ref.y_max, vals).normalized()
+        grid = DensityGrid.from_mixture(self.base, res, bounds=self.bounds)
+        e = np.asarray(self.energy(grid.centers()), dtype=float).reshape(grid.values.shape)
+        return DensityGrid(
+            grid.x_min, grid.x_max, grid.y_min, grid.y_max, grid.values * np.exp(-b * e)
+        ).normalized()
 
     def _qt_by_convolution(self, t: float, res: int) -> DensityGrid:
         q0 = self.guided_qt_grid(0.0, resolution=res)
         if t <= 0.0:
             return q0
         tq = float(clamp_time(t))
-        mu = float(self.sched.mu(tq))
-        sig2 = float(self.sched.sigma(tq)) ** 2
         src = q0.centers()
         mass = q0.masses().ravel()
         out = self._reference_grid(res)
         pts = out.centers()
-        vals = np.zeros(len(pts))
+        vals = np.empty(len(pts))
         for sl in _chunks(len(pts)):
-            sq = (
-                (pts[sl] ** 2).sum(-1)[:, None]
-                - 2.0 * mu * (pts[sl] @ src.T)
-                + mu**2 * (src**2).sum(-1)[None, :]
-            )
-            kern = np.exp(-0.5 * sq / sig2) / (2.0 * np.pi * sig2)
-            vals[sl] = kern @ mass
+            vals[sl] = np.exp(self._log_kernel(pts[sl], tq, src)) @ mass
         return DensityGrid(out.x_min, out.x_max, out.y_min, out.y_max, vals.reshape(res, res)).normalized()
 
     def _reference_grid(self, res: int) -> DensityGrid:
@@ -379,26 +330,17 @@ class GuidedOracle:
         hx = (ref.x_max - ref.x_min) / res
         hy = (ref.y_max - ref.y_min) / res
         t = float(clamp_time(t))
-        route = "analytic" if self.analytic else "quad"
-        q_plus = self._qt_values(pts, t + dt, route)
-        q_minus = self._qt_values(pts, t - dt, route)
+        q_plus = np.exp(self.guided_logdensity(pts, t + dt))
+        q_minus = np.exp(self.guided_logdensity(pts, t - dt))
         dq_dt = (q_plus - q_minus) / (2.0 * dt)
-        q = self._qt_values(pts, t, route)
-        u = self.guided_velocity(pts, t, route=route) if velocity is None else velocity(pts, t)
+        q = np.exp(self.guided_logdensity(pts, t))
+        u = self.guided_velocity(pts, t) if velocity is None else velocity(pts, t)
         fx = (q * u[:, 0]).reshape(res, res)
         fy = (q * u[:, 1]).reshape(res, res)
         # values are laid out with y varying along axis 0
         div = np.gradient(fy, hy, axis=0) + np.gradient(fx, hx, axis=1)
         resid = dq_dt.reshape(res, res) + div
         return float(np.abs(resid).sum() * hx * hy)
-
-    def _qt_values(self, pts: np.ndarray, t: float, route: str) -> np.ndarray:
-        t = float(clamp_time(t))
-        if route == "analytic":
-            return np.exp(gmm_logpdf(path_marginal(self._tilted, self.sched, t), pts))
-        log_p = self.marginal_logdensity(pts, t, route="quad")
-        e_t = self.intermediate_energy(pts, t, route="quad")
-        return np.exp(log_p - e_t - self.log_z())
 
     def _use_analytic(self, route: str) -> bool:
         if route == "auto":
@@ -415,3 +357,19 @@ class GuidedOracle:
 def _chunks(n: int, size: int = _CHUNK):
     for start in range(0, n, size):
         yield slice(start, min(start + size, n))
+
+
+def _reduce(lk: np.ndarray, points: np.ndarray | None = None):
+    """Row-wise log sum_n exp(lk[:, n]) and, given points, the mean of the
+    points under the row-wise softmax of lk."""
+    top = lk.max(axis=1, keepdims=True)
+    if not np.all(np.isfinite(top)):
+        raise FloatingPointError("posterior weights underflowed at every node")
+    w = lk - top
+    np.exp(w, out=w)
+    total = w.sum(axis=1, keepdims=True)
+    log_norm = top[:, 0] + np.log(total[:, 0])
+    if points is None:
+        return log_norm, None
+    w /= total
+    return log_norm, w @ points

@@ -88,8 +88,9 @@ def sample_ancestral(
     Stepping t -> s uses the Gaussian-path transition ratio r = mu_t / mu_s:
     the next mean given the score estimate is x/r + (sig_ts^2 / r) * score with
     sig_ts^2 = sigma_t^2 - r^2 sigma_s^2, and the injected noise has variance
-    sig_ts^2.  With that noise level a Gaussian data distribution is inverted
-    exactly at any step count; the final step adds no noise.
+    sig_ts^2; the final step adds no noise.  The chain is not exact at a
+    finite step count: with the exact score, N(0, 1) data comes back with
+    variance about 0.95 after 15 steps and 0.99 after 50.
     """
     if sched.kind != "vp":
         raise ValueError("ancestral sampling assumes a variance-preserving schedule")

@@ -170,15 +170,13 @@ def _check_perturb_statistics():
 def _check_marginal_consistency():
     gmm = make_dataset("bimodal1d")
     sched = PathSchedule.vp()
-    rng = Rng(108)
+    oracle = GuidedOracle(gmm, EnergySpec.linear([0.0], 0.0), sched, grid_res=64)
     x = np.linspace(-4, 4, 41)[:, None]
     worst = 0.0
     for t in (0.3, 0.7):
         analytic = gmm_logpdf(path_marginal(gmm, sched, t), x)
-        oracle = GuidedOracle(gmm, EnergySpec.linear([0.0], 0.0), sched, grid_res=64)
         quad = oracle.marginal_logdensity(x, t, route="quad")
         worst = max(worst, float(np.abs(analytic - quad).max()))
-    del rng
     return worst < 1e-4, f"max |log p_t analytic - quadrature| {worst:.2e}"
 
 

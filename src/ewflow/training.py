@@ -26,7 +26,7 @@ from .energies import EnergySpec
 from .mixtures import GaussianMixture, gmm_sample
 from .nn import AdamState, MlpModel, adam_step, backward, forward_cached
 from .oracle import GuidedOracle
-from .paths import T_EPS, PathSchedule, cond_velocity, perturb
+from .paths import T_EPS, PathSchedule, cond_velocity, perturb, velocity_from_score
 from .rng import Rng
 from .sampling import _CTX_COND, _CTX_NULL
 
@@ -177,40 +177,25 @@ def loss_cfg_pair(model: MlpModel, batch: WeightedBatch, labels: np.ndarray, sch
 # ---------------------------------------------------------------------------
 
 
-def _exact_prep(oracle: GuidedOracle, t: float):
-    oracle._ensure_nodes()
-    nodes = oracle._nodes
-    mu = float(oracle.sched.mu(t))
-    sig2 = float(oracle.sched.sigma(t)) ** 2
-    a_coef = float(oracle.sched.drift_coef(t))
-    c_coef = float(oracle.sched.score_coef(t))
-    return nodes, mu, sig2, a_coef, c_coef
-
-
-def _marginal_weights(oracle: GuidedOracle, t: float) -> np.ndarray:
-    """w_n = p_t(x_n) exp(-E_t(x_n)) * dx / Z on the node set, via log-space routes."""
-    nodes = oracle._nodes
-    log_p = oracle.marginal_logdensity(nodes, t, route="quad")
-    e_t = oracle.intermediate_energy(nodes, t, route="quad")
-    lw = oracle._log_mass - oracle.energy.beta * oracle._node_energy
-    top = lw.max()
-    log_z = float(top + np.log(np.exp(lw - top).sum()))
-    return np.exp(log_p - e_t - log_z) * oracle._node_area
-
-
 def _marginal_exact(model: MlpModel, oracle: GuidedOracle, t_nodes, form: str):
-    """Marginal-form loss on the node set; form "flow" or "score" picks the target."""
+    """Marginal-form loss on the node set; form "flow" or "score" picks the target.
+
+    Weights q_t(x_n) dx and the guided score come from one quadrature pass per
+    time node.  q_t is normalized by the node set's own log Z, not the closed
+    form, so the weights match the conditional form's Boltzmann node weights.
+    """
+    nodes = oracle.nodes
     total = 0.0
     acc_w = [np.zeros_like(w) for w in model.weights]
     acc_b = [np.zeros_like(b) for b in model.biases]
     for t in t_nodes:
-        nodes, _, sig2, _, _ = _exact_prep(oracle, t)
-        w = _marginal_weights(oracle, t) / len(t_nodes)
+        log_q, score = oracle.guided_logdensity_and_score(nodes.points, t)
+        w = np.exp(log_q) * nodes.cell_area / len(t_nodes)
         if form == "flow":
-            target = oracle.guided_velocity(nodes, t, route="quad")
+            target = velocity_from_score(oracle.sched, nodes.points, score, t)
         else:
-            target = -np.sqrt(sig2) * oracle.guided_score(nodes, t, route="quad")
-        loss, (gw, gb) = _weighted_field_loss(model, nodes, target, w, float(t))
+            target = -float(oracle.sched.sigma(t)) * score
+        loss, (gw, gb) = _weighted_field_loss(model, nodes.points, target, w, float(t))
         total += loss
         for i in range(len(acc_w)):
             acc_w[i] += gw[i]
@@ -239,15 +224,18 @@ def _conditional_exact(model: MlpModel, oracle: GuidedOracle, t_nodes, form: str
     Per-datum targets are affine in x0, so node sums reduce to zeroth, first,
     and second moments under the raw (non-log) Boltzmann-weighted kernel.
     """
-    beta = oracle.energy.beta
-    mass = np.exp(oracle._log_mass)
-    shifted = mass * np.exp(-beta * (oracle._node_energy - oracle._node_energy.min()))
+    node_set = oracle.nodes
+    nodes, e = node_set.points, node_set.energy
+    shifted = np.exp(node_set.log_mass) * np.exp(-oracle.energy.beta * (e - e.min()))
     bw = shifted / shifted.sum()  # mass_m exp(-beta E_m) / Z
     total = 0.0
     acc_w = [np.zeros_like(w) for w in model.weights]
     acc_b = [np.zeros_like(b) for b in model.biases]
     for t in t_nodes:
-        nodes, mu, sig2, a_coef, c_coef = _exact_prep(oracle, t)
+        mu = float(oracle.sched.mu(t))
+        sig2 = float(oracle.sched.sigma(t)) ** 2
+        a_coef = float(oracle.sched.drift_coef(t))
+        c_coef = float(oracle.sched.score_coef(t))
         dim = nodes.shape[1]
         sq = (
             (nodes**2).sum(-1)[:, None]
@@ -255,7 +243,7 @@ def _conditional_exact(model: MlpModel, oracle: GuidedOracle, t_nodes, form: str
             + mu**2 * (nodes**2).sum(-1)[None, :]
         )
         kern = np.exp(-0.5 * sq / sig2) / (2.0 * np.pi * sig2) ** (dim / 2.0)
-        r = kern * bw[None, :] * oracle._node_area  # (x probe, x0 node)
+        r = kern * bw[None, :] * node_set.cell_area  # (x probe, x0 node)
         s0 = r.sum(axis=1)
         s1 = r @ nodes
         s2 = r @ (nodes**2).sum(-1)

@@ -6,19 +6,17 @@ architectures sized to the stated runtime budgets; thresholds are asserted
 exactly as stated, never recalibrated at runtime.
 """
 
-import json
 import math
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from ewflow.cli import main, replay_manifest, run_train
+from ewflow.cli import main, replay_manifest
 from ewflow.datasets import make_dataset
-from ewflow.energies import EnergySpec, tilt_mixture
-from ewflow.grids import grid_sample, grid_tv_distance
+from ewflow.energies import EnergySpec
+from ewflow.grids import grid_sample
 from ewflow.metrics import sliced_wasserstein
-from ewflow.mixtures import gmm_sample
 from ewflow.nn import MlpModel
 from ewflow.oracle import GuidedOracle
 from ewflow.paths import (

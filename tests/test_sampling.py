@@ -6,7 +6,7 @@ import pytest
 from ewflow.datasets import make_dataset
 from ewflow.energies import EnergySpec, tilt_mixture
 from ewflow.metrics import sliced_wasserstein
-from ewflow.mixtures import gmm_sample, gmm_score, path_marginal
+from ewflow.mixtures import gmm_score, path_marginal
 from ewflow.nn import MlpModel, forward
 from ewflow.paths import PathSchedule, T_EPS, velocity_from_score
 from ewflow.rng import Rng

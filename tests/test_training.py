@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from ewflow.datasets import make_dataset
 from ewflow.energies import EnergySpec
-from ewflow.mixtures import GaussianMixture, gmm_sample
+from ewflow.mixtures import gmm_sample
 from ewflow.nn import MlpModel, forward
 from ewflow.oracle import GuidedOracle
-from ewflow.paths import PathSchedule, T_EPS, cond_velocity, velocity_from_score
+from ewflow.paths import PathSchedule, cond_velocity, velocity_from_score
 from ewflow.rng import Rng
 from ewflow.training import (
     TrainConfig,
@@ -199,6 +199,24 @@ def test_exact_marginal_and_conditional_gradients_match():
         assert lc > lm - 1e-12
 
 
+def test_marginal_exact_losses_take_one_kernel_pass_per_time(monkeypatch):
+    oracle, model = _exact_setup()
+    calls = []
+    kernel = GuidedOracle._log_kernel
+
+    def counting(self, x, *args):
+        calls.append(len(x))
+        return kernel(self, x, *args)
+
+    monkeypatch.setattr(GuidedOracle, "_log_kernel", counting)
+    n_nodes = oracle.grid_res**2
+    t_nodes = [0.25, 0.5, 0.75]
+    for fn in (loss_efm_exact, loss_ed_exact):
+        calls.clear()
+        fn(model, oracle, t_nodes)
+        assert calls == [n_nodes] * len(t_nodes)
+
+
 def test_exact_flow_loss_beta_zero_is_plain_field_matching():
     gmm = make_dataset("bimodal2d")
     energy = EnergySpec.quadratic([0.25, 0.25], 0.0, center=[2.0, 0.0])
@@ -207,9 +225,8 @@ def test_exact_flow_loss_beta_zero_is_plain_field_matching():
     t = 0.5
     loss, _ = loss_efm_exact(model, oracle, [t])
     # recompute by hand: weights p_t(x) dx, target = unguided marginal velocity
-    oracle._ensure_nodes()
-    nodes = oracle._nodes
-    w = np.exp(oracle.marginal_logdensity(nodes, t, route="quad")) * oracle._node_area
+    nodes = oracle.nodes.points
+    w = np.exp(oracle.marginal_logdensity(nodes, t, route="quad")) * oracle.nodes.cell_area
     target = oracle.guided_velocity(nodes, t, route="quad")
     pred = forward(model, nodes, np.full(len(nodes), t))
     want = float((w * ((pred - target) ** 2).sum(axis=1)).sum())
