@@ -4,7 +4,9 @@ The architectures here are tiny and fixed, so the backward pass is written
 layer by layer rather than through a general tape; every gradient is checked
 against finite differences in the test suite.  Inputs are the concatenation
 x (+) sinusoidal-time-embedding (+) optional context (+) optional embedded
-guidance scale.
+guidance scale.  One layer loop serves forward and forward_cached; a sampler
+passes it a workspace so that its network evaluations reuse one set of
+buffers, and the output it returns is always fresh.
 """
 
 from __future__ import annotations
@@ -40,16 +42,6 @@ def time_embedding(t: np.ndarray, dim: int) -> np.ndarray:
     freqs = 10.0 ** (4.0 * np.arange(half) / max(half - 1, 1))
     ang = np.asarray(t, dtype=float)[:, None] * freqs[None, :]
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
-
-
-def _silu(z):
-    s = 1.0 / (1.0 + np.exp(-z))
-    return z * s
-
-
-def _dsilu(z):
-    s = 1.0 / (1.0 + np.exp(-z))
-    return s * (1.0 + z * (1.0 - s))
 
 
 @dataclass
@@ -126,68 +118,124 @@ class MlpModel:
         }
 
 
-def _assemble_input(model: MlpModel, x, t, context, beta_norm) -> np.ndarray:
+def _buffer(workspace: dict | None, key: str, shape: tuple) -> np.ndarray:
+    """The workspace's array for key at this shape, or a fresh one without a workspace."""
+    if workspace is None:
+        return np.empty(shape)
+    buf = workspace.get(key)
+    if buf is None or buf.shape != shape:
+        buf = workspace[key] = np.empty(shape)
+    return buf
+
+
+def _embedded(v, n: int, dim: int) -> np.ndarray:
+    """Embedding of a scalar as one (1, dim) row, or of a per-row value as (n, dim)."""
+    v = np.asarray(v, dtype=float)
+    return time_embedding(v.reshape(1) if v.ndim == 0 else np.broadcast_to(v, (n,)), dim)
+
+
+def _assemble_input(model: MlpModel, x, t, context, beta_norm, workspace) -> np.ndarray:
+    """Write [x, emb(t), context?, emb(beta)?] into the input buffer, column block by block."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != model.in_dim:
         raise ValueError(f"input dim {x.shape[1]} != model in_dim {model.in_dim}")
+    n = x.shape[0]
     parts = [x]
     if model.embed_dim > 0:
         if t is None:
             raise ValueError("model embeds time; t is required")
-        t = np.broadcast_to(np.asarray(t, dtype=float), (x.shape[0],))
-        parts.append(time_embedding(t, model.embed_dim))
+        parts.append(_embedded(t, n, model.embed_dim))
     if model.context_dim > 0:
         if context is None:
             raise ValueError("model expects a context vector")
         context = np.atleast_2d(np.asarray(context, dtype=float))
-        if context.shape != (x.shape[0], model.context_dim):
-            raise ValueError(
-                f"context shape {context.shape} != {(x.shape[0], model.context_dim)}"
-            )
+        if context.shape != (n, model.context_dim):
+            raise ValueError(f"context shape {context.shape} != {(n, model.context_dim)}")
         parts.append(context)
     elif context is not None:
         raise ValueError("model takes no context")
     if model.accepts_beta:
         if beta_norm is None:
             raise ValueError("model conditions on beta; beta_norm is required")
-        bn = np.broadcast_to(np.asarray(beta_norm, dtype=float), (x.shape[0],))
+        bn = np.asarray(beta_norm, dtype=float)
         if np.any(bn < 0) or np.any(bn > 1):
             raise ValueError("beta_norm must lie in [0, 1]")
-        parts.append(time_embedding(bn, model.embed_dim))
+        parts.append(_embedded(bn, n, model.embed_dim))
     elif beta_norm is not None:
         raise ValueError("model does not condition on beta")
-    return np.concatenate(parts, axis=1)
+    h = _buffer(workspace, "input", (n, model.input_width))
+    col = 0
+    for part in parts:
+        h[:, col : col + part.shape[1]] = part
+        col += part.shape[1]
+    return h
 
 
-def forward(model: MlpModel, x, t=None, context=None, beta_norm=None) -> np.ndarray:
-    return forward_cached(model, x, t, context, beta_norm)[0]
+def forward(
+    model: MlpModel, x, t=None, context=None, beta_norm=None, workspace=None
+) -> np.ndarray:
+    """Network output for rows x; see forward_cached for t, beta_norm and workspace."""
+    return forward_cached(model, x, t, context, beta_norm, workspace)[0]
 
 
-def forward_cached(model: MlpModel, x, t=None, context=None, beta_norm=None):
-    """Forward pass returning (output, cache) for a subsequent backward call."""
-    h = _assemble_input(model, x, t, context, beta_norm)
-    activations = [h]
-    pre = []
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ w + b
+def forward_cached(model: MlpModel, x, t=None, context=None, beta_norm=None, workspace=None):
+    """Forward pass returning (output, cache) for a subsequent backward call.
+
+    t and beta_norm are scalars, embedded once for all rows, or per-row arrays.
+    The input columns and each hidden layer's pre-activation, sigmoid and
+    activation go into buffers of the optional workspace (a dict, reused by
+    every call with the same row count), or into fresh arrays without one;
+    the cache refers to those buffers, so it holds only until the workspace's
+    next call.  The output is always a fresh array that no later call touches.
+    """
+    h = _assemble_input(model, x, t, context, beta_norm, workspace)
+    n = h.shape[0]
+    activations, pre, sigmoids = [h], [], []
+    for i, (w, b) in enumerate(zip(model.weights[:-1], model.biases[:-1])):
+        z = np.matmul(h, w, out=_buffer(workspace, f"pre{i}", (n, w.shape[1])))
+        z += b
+        s = _buffer(workspace, f"sigmoid{i}", z.shape)
+        np.negative(z, out=s)
+        np.exp(s, out=s)
+        s += 1.0
+        np.divide(1.0, s, out=s)
+        h = np.multiply(z, s, out=_buffer(workspace, f"act{i}", z.shape))
         pre.append(z)
-        h = z if i == last else _silu(z)
+        sigmoids.append(s)
         activations.append(h)
+    # Never a workspace buffer: a Heun step still holds k1 while it computes k2.
+    h = h @ model.weights[-1]
+    h += model.biases[-1]
+    pre.append(h)
+    activations.append(h)
     if not np.all(np.isfinite(h)):
         raise FloatingPointError("non-finite network output")
-    return h, (activations, pre)
+    return h, (activations, pre, sigmoids)
+
+
+def _silu_grad(g: np.ndarray, z: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """g * SiLU'(z), with SiLU'(z) = s (1 + z (1 - s)) from the forward pass's sigmoid s.
+
+    The product is built in one temporary that becomes the result, so backward
+    holds at most two (rows, width) arrays beside the cache.
+    """
+    d = 1.0 - s
+    d *= z
+    d += 1.0
+    d *= s
+    d *= g
+    return d
 
 
 def backward(model: MlpModel, cache, upstream: np.ndarray):
     """Gradients of sum(output * upstream) w.r.t. all weights and biases."""
-    activations, pre = cache
+    activations, pre, sigmoids = cache
     g = np.atleast_2d(np.asarray(upstream, dtype=float))
     grads_w = [None] * len(model.weights)
     grads_b = [None] * len(model.biases)
     for i in range(len(model.weights) - 1, -1, -1):
         if i != len(model.weights) - 1:
-            g = g * _dsilu(pre[i])
+            g = _silu_grad(g, pre[i], sigmoids[i])
         grads_w[i] = activations[i].T @ g
         grads_b[i] = g.sum(axis=0)
         if i > 0:

@@ -145,18 +145,19 @@ def model_score_fn(
     -n(x, t) / sigma_t.  Classifier-pair checkpoints compose the null-token
     and class-token heads with the affine guidance rule before rescaling.
     A context is either one (d,) vector for every row of x or an (n, d)
-    array with one row per row of x.
+    array with one row per row of x.  The callable keeps one forward
+    workspace, which every network evaluation of a sampling call reuses.
     """
     kind = meta.get("model_kind", "score")
+    ws = {}
     if kind == "velocity":
         raise ValueError("velocity models have no score head; sample through the ODE instead")
     if kind == "cfg_pair":
         beta = 1.0 if guidance_beta is None else float(guidance_beta)
 
         def fn(x, t):
-            n = len(x)
-            nu = forward(model, x, t, context=np.repeat(_CTX_NULL[None], n, axis=0))
-            nc = forward(model, x, t, context=np.repeat(_CTX_COND[None], n, axis=0))
+            nu = forward(model, x, t, context=_row_context(_CTX_NULL, len(x)), workspace=ws)
+            nc = forward(model, x, t, context=_row_context(_CTX_COND, len(x)), workspace=ws)
             return -cfg_compose(nu, nc, beta) / float(sched.sigma(t))
 
         return fn
@@ -169,13 +170,13 @@ def model_score_fn(
         bn = float(guidance_beta) / float(beta_max)
 
         def fn(x, t):
-            return -forward(model, x, t, beta_norm=np.full(len(x), bn)) / float(sched.sigma(t))
+            return -forward(model, x, t, beta_norm=bn, workspace=ws) / float(sched.sigma(t))
 
         return fn
 
     def fn(x, t):
         ctx = _row_context(context, len(x))
-        return -forward(model, x, t, context=ctx) / float(sched.sigma(t))
+        return -forward(model, x, t, context=ctx, workspace=ws) / float(sched.sigma(t))
 
     return fn
 
@@ -189,13 +190,14 @@ def model_velocity_fn(
 ):
     """Velocity callable (x, t) -> v; score-style models are converted pointwise.
 
-    The context is shaped as in model_score_fn.
+    The context and the workspace are as in model_score_fn.
     """
     kind = meta.get("model_kind", "velocity")
     if kind == "velocity":
+        ws = {}
 
         def fn(x, t):
-            return forward(model, x, t, context=_row_context(context, len(x)))
+            return forward(model, x, t, context=_row_context(context, len(x)), workspace=ws)
 
         return fn
     score_fn = model_score_fn(model, meta, sched, guidance_beta, context)

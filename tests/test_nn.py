@@ -13,6 +13,7 @@ from ewflow.nn import (
     soft_update,
     time_embedding,
 )
+from ewflow.paths import T_EPS
 from ewflow.rng import Rng
 
 
@@ -209,3 +210,97 @@ def test_input_validation():
     no_ctx = MlpModel.init(2, 2, Rng(23), hidden=(8,), embed_dim=4)
     with pytest.raises(ValueError, match="dim"):
         forward(no_ctx, np.zeros((3, 5)), np.full(3, 0.5))
+
+
+def _reference_forward_cached(model, x, t, context, beta_norm):
+    """Forward pass written out op by op: per-row embeddings, one concatenated
+    input, z = h @ w + b and SiLU z * 1/(1 + exp(-z)), with nothing reused."""
+    n = len(x)
+    parts = [x, time_embedding(np.broadcast_to(t, (n,)), model.embed_dim)]
+    if context is not None:
+        parts.append(np.broadcast_to(context, (n, model.context_dim)))
+    if beta_norm is not None:
+        parts.append(time_embedding(np.broadcast_to(beta_norm, (n,)), model.embed_dim))
+    h = np.concatenate(parts, axis=1)
+    activations, pre = [h], []
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = h @ w + b
+        pre.append(z)
+        h = z if i == len(model.weights) - 1 else z * (1.0 / (1.0 + np.exp(-z)))
+        activations.append(h)
+    return h, activations, pre
+
+
+def _reference_backward(model, activations, pre, upstream):
+    """Reverse pass that recomputes each sigmoid from the pre-activation."""
+    g = upstream
+    grads_w, grads_b = [None] * len(model.weights), [None] * len(model.biases)
+    for i in range(len(model.weights) - 1, -1, -1):
+        if i != len(model.weights) - 1:
+            s = 1.0 / (1.0 + np.exp(-pre[i]))
+            g = g * (s * (1.0 + pre[i] * (1.0 - s)))
+        grads_w[i] = activations[i].T @ g
+        grads_b[i] = g.sum(axis=0)
+        if i > 0:
+            g = g @ model.weights[i].T
+    return grads_w, grads_b
+
+
+def _conditioned_model(embed_dim, context_dim, accepts_beta, seed=30):
+    rng = Rng(seed)
+    model = MlpModel.init(
+        2, 2, rng, hidden=(16, 16), embed_dim=embed_dim,
+        context_dim=context_dim, accepts_beta=accepts_beta,
+    )
+    for b in model.biases:
+        b[:] = rng.normal(b.shape)
+    return model
+
+
+@pytest.mark.parametrize("beta_kind", ["none", "scalar", "rows"])
+@pytest.mark.parametrize("context_kind", ["none", "shared", "rows"])
+@pytest.mark.parametrize("embed_dim", [8, 32, 64])
+def test_workspace_forward_is_bit_identical_to_fresh_path(embed_dim, context_kind, beta_kind):
+    n = 9
+    model = _conditioned_model(embed_dim, 0 if context_kind == "none" else 3, beta_kind != "none")
+    x = Rng(31).normal((n, 2)) * 2.0
+    context = {
+        "none": None,
+        "shared": np.broadcast_to(Rng(32).normal(3), (n, 3)),
+        "rows": Rng(33).normal((n, 3)),
+    }[context_kind]
+    beta_norm = {"none": None, "scalar": 0.7, "rows": Rng(34).uniform(0.0, 1.0, n)}[beta_kind]
+    workspace = {}
+    for t in (1.0 - T_EPS, 0.5, T_EPS, Rng(35).uniform(T_EPS, 1.0 - T_EPS, n)):
+        want = _reference_forward_cached(model, x, t, context, beta_norm)[0]
+        fresh = forward(model, x, t, context=context, beta_norm=beta_norm)
+        reused = forward(model, x, t, context=context, beta_norm=beta_norm, workspace=workspace)
+        assert np.array_equal(fresh, want)
+        assert np.array_equal(reused, want)
+
+
+def test_workspace_output_is_not_overwritten_by_the_next_call():
+    model = _conditioned_model(8, 0, False)
+    workspace = {}
+    first = forward(model, Rng(36).normal((5, 2)), 0.9, workspace=workspace)
+    kept = first.copy()
+    second = forward(model, Rng(37).normal((5, 2)), 0.1, workspace=workspace)
+    assert np.array_equal(first, kept)
+    assert not np.array_equal(first, second)
+    assert not any(np.shares_memory(first, buf) for buf in workspace.values())
+
+
+@pytest.mark.parametrize("with_workspace", [False, True])
+def test_forward_cached_gradients_match_recomputed_sigmoid(with_workspace):
+    model = _conditioned_model(8, 3, True)
+    rng = Rng(38)
+    x, ctx, up = rng.normal((7, 2)), rng.normal((7, 3)), rng.normal((7, 2))
+    for t, bn in ((rng.uniform(0.1, 0.9, 7), rng.uniform(0.0, 1.0, 7)), (0.3, 0.6)):
+        out, cache = forward_cached(
+            model, x, t, context=ctx, beta_norm=bn, workspace={} if with_workspace else None
+        )
+        ref_out, activations, pre = _reference_forward_cached(model, x, t, ctx, bn)
+        gw, gb = backward(model, cache, up)
+        ref_gw, ref_gb = _reference_backward(model, activations, pre, up)
+        assert np.array_equal(out, ref_out)
+        assert all(np.array_equal(a, b) for a, b in zip(gw + gb, ref_gw + ref_gb))

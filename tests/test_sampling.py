@@ -10,9 +10,11 @@ from ewflow.mixtures import gmm_score, path_marginal
 from ewflow.nn import MlpModel, forward
 from ewflow.paths import PathSchedule, T_EPS, velocity_from_score
 from ewflow.rng import Rng
+from ewflow import sampling
 from ewflow.sampling import (
     SamplerConfig,
     cfg_compose,
+    generate,
     model_score_fn,
     model_velocity_fn,
     read_samples_csv,
@@ -203,3 +205,87 @@ def test_samples_csv_round_trip(tmp_path):
     path2 = tmp_path / "samples2.csv"
     write_samples_csv(path2, pts, meta)
     assert path.read_bytes() == path2.read_bytes()
+
+
+_NULL, _COND = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+
+
+def _adapter_case(kind):
+    """(model, meta, guidance beta, score written without a workspace) for one model kind."""
+    rng = Rng(40)
+    model = MlpModel.init(
+        2, 2, rng, hidden=(16, 16), embed_dim=8,
+        context_dim=2 if kind == "cfg_pair" else 0, accepts_beta=kind == "beta",
+    )
+    for b in model.biases:
+        b[:] = rng.normal(b.shape)
+    model.weights[-1] *= 0.1  # a small field keeps the chains near the prior
+    sched = PathSchedule.vp()
+    if kind == "velocity":
+        return model, {"model_kind": "velocity"}, None, None
+    if kind == "score":
+        def score(x, t):
+            return -forward(model, x, t) / float(sched.sigma(t))
+
+        return model, {"model_kind": "score"}, None, score
+    if kind == "cfg_pair":
+        def score(x, t):
+            nu = forward(model, x, t, context=np.repeat(_NULL[None], len(x), axis=0))
+            nc = forward(model, x, t, context=np.repeat(_COND[None], len(x), axis=0))
+            return -cfg_compose(nu, nc, 1.5) / float(sched.sigma(t))
+
+        return model, {"model_kind": "cfg_pair"}, 1.5, score
+
+    def score(x, t):
+        return -forward(model, x, t, beta_norm=np.full(len(x), 0.25)) / float(sched.sigma(t))
+
+    return model, {"model_kind": "score", "beta_max": 4.0}, 1.0, score
+
+
+@pytest.mark.parametrize("kind", ["velocity", "score", "cfg_pair", "beta"])
+def test_adapter_samplers_match_workspace_free_forward(kind):
+    sched = PathSchedule.vp()
+    model, meta, beta, score = _adapter_case(kind)
+    if score is None:
+        def velocity(x, t):
+            return forward(model, x, t)
+    else:
+        def velocity(x, t):
+            return velocity_from_score(sched, x, score(x, t), t)
+
+    got = sample_ode(model_velocity_fn(model, meta, sched, beta), sched, 64, 2, Rng(41), steps=6)
+    assert np.array_equal(got, sample_ode(velocity, sched, 64, 2, Rng(41), steps=6))
+    if score is not None:
+        fn = model_score_fn(model, meta, sched, beta)
+        got = sample_ancestral(fn, sched, 64, 2, Rng(42), steps=8)
+        assert np.array_equal(got, sample_ancestral(score, sched, 64, 2, Rng(42), steps=8))
+
+
+@pytest.mark.parametrize("kind", ["velocity", "cfg_pair"])
+def test_generate_reruns_are_identical(kind):
+    model, meta, beta, _ = _adapter_case(kind)
+    cfg = SamplerConfig(kind="heun_ode", steps=5, n=40)
+    first = generate(model, meta, PathSchedule.vp(), cfg, Rng(43), guidance_beta=beta)
+    again = generate(model, meta, PathSchedule.vp(), cfg, Rng(43), guidance_beta=beta)
+    assert np.array_equal(first, again)
+
+
+def test_samplers_call_forward_through_the_module_global(monkeypatch):
+    # The benchmark's per-layer trace wraps sampling.forward by name; every
+    # network evaluation of a sampler must go through that global.
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(sampling, "forward", counting)
+    sched = PathSchedule.vp()
+    model, meta, _, _ = _adapter_case("velocity")
+    generate(model, meta, sched, SamplerConfig(kind="heun_ode", steps=15, n=20), Rng(44))
+    assert calls[0] == 30
+    calls[0] = 0
+    model, meta, beta, _ = _adapter_case("cfg_pair")
+    cfg = SamplerConfig(kind="ancestral", steps=7, n=20)
+    generate(model, meta, sched, cfg, Rng(45), guidance_beta=beta)
+    assert calls[0] == 2 * 7
