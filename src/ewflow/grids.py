@@ -10,7 +10,12 @@ import numpy as np
 from .mixtures import GaussianMixture, gmm_density, gmm_logpdf
 from .rng import Rng
 
-__all__ = ["DensityGrid", "QuadratureNodes", "quadrature_nodes", "grid_sample", "grid_tv_distance"]
+__all__ = ["DensityGrid", "QuadratureNodes", "quadrature_nodes", "node_blocks", "grid_sample", "grid_tv_distance"]
+
+# Bytes of one (rows, nodes) float64 block in every Gaussian-kernel loop over
+# a node set, so the memory of a quadrature call is set by this budget and not
+# by the number of query points or nodes.
+_BLOCK_BYTES = 8 * 2**20
 
 
 @dataclass
@@ -192,6 +197,20 @@ def quadrature_nodes(base, energy, grid_res: int = 256, pad_sigmas: float = 4.0)
         raise ValueError("all quadrature terms underflowed in the normalization constant")
     log_z = float(top + np.log(np.exp(lw - top).sum()))
     return QuadratureNodes(points, log_mass, area, e, log_z)
+
+
+def node_blocks(n_rows: int, n_nodes: int):
+    """Row slices of 0..n_rows whose (rows, n_nodes) float64 block fits in
+    _BLOCK_BYTES, at least one row each.
+
+    The rows are split into the fewest blocks of near-equal size, so no block
+    is a short remainder: BLAS picks its kernel by matrix size, and a short
+    block could round differently from the same rows in one block.
+    """
+    size = max(1, _BLOCK_BYTES // (8 * max(n_nodes, 1)))
+    k = -(-n_rows // size)
+    for i in range(k):
+        yield slice(i * n_rows // k, (i + 1) * n_rows // k)
 
 
 def grid_sample(grid: DensityGrid, rng: Rng, n: int) -> np.ndarray:

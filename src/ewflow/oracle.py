@@ -34,13 +34,11 @@ from functools import cached_property
 import numpy as np
 
 from .energies import EnergySpec, tilt_mixture
-from .grids import DensityGrid, QuadratureNodes, mixture_bounds, quadrature_nodes
+from .grids import DensityGrid, QuadratureNodes, mixture_bounds, node_blocks, quadrature_nodes
 from .mixtures import GaussianMixture, gmm_logpdf, gmm_score, path_marginal
 from .paths import PathSchedule, clamp_time, velocity_from_score
 
 __all__ = ["GuidedOracle"]
-
-_CHUNK = 4096
 
 
 class GuidedOracle:
@@ -111,21 +109,21 @@ class GuidedOracle:
         Returns (log_norm, post_mean, log_p): the log-normaliser
         log sum_n m_n exp(-beta E_n) K_t(x, x0_n); with mean, the posterior
         mean of x0; with prior, the beta = 0 log-normaliser log p_t(x) taken
-        from the same kernel block.  Each block of _CHUNK rows evaluates the
-        kernel once.
+        from the same kernel block.  Each block of rows (grids.node_blocks)
+        evaluates the kernel once.
         """
         nodes = self.nodes
         log_norm = np.empty(len(x))
         post_mean = np.empty_like(x) if mean else None
         log_p = np.empty(len(x)) if prior else None
-        for sl in _chunks(len(x)):
+        for sl in node_blocks(len(x), len(nodes.points)):
             lk = self._log_kernel(x[sl], t, nodes.points)
             lk += nodes.log_mass
             if prior:
-                log_p[sl] = _reduce(lk)[0]
+                log_p[sl] = _reduce(lk, t, 0.0, sl)[0]
             if beta:
                 lk -= beta * nodes.energy
-            log_norm[sl], m = _reduce(lk, nodes.points if mean else None)
+            log_norm[sl], m = _reduce(lk, t, beta, sl, nodes.points if mean else None)
             if mean:
                 post_mean[sl] = m
         return log_norm, post_mean, log_p
@@ -303,7 +301,7 @@ class GuidedOracle:
         out = self._reference_grid(res)
         pts = out.centers()
         vals = np.empty(len(pts))
-        for sl in _chunks(len(pts)):
+        for sl in node_blocks(len(pts), len(src)):
             vals[sl] = np.exp(self._log_kernel(pts[sl], tq, src)) @ mass
         return DensityGrid(out.x_min, out.x_max, out.y_min, out.y_max, vals.reshape(res, res)).normalized()
 
@@ -354,17 +352,17 @@ class GuidedOracle:
         raise ValueError(f"unknown route {route!r}")
 
 
-def _chunks(n: int, size: int = _CHUNK):
-    for start in range(0, n, size):
-        yield slice(start, min(start + size, n))
-
-
-def _reduce(lk: np.ndarray, points: np.ndarray | None = None):
+def _reduce(lk: np.ndarray, t: float, beta: float, rows: slice, points: np.ndarray | None = None):
     """Row-wise log sum_n exp(lk[:, n]) and, given points, the mean of the
-    points under the row-wise softmax of lk."""
+    points under the row-wise softmax of lk.  lk holds query rows `rows` at
+    time t and scale beta, which a failure names."""
     top = lk.max(axis=1, keepdims=True)
     if not np.all(np.isfinite(top)):
-        raise FloatingPointError("posterior weights underflowed at every node")
+        bad = rows.start + np.flatnonzero(~np.isfinite(top[:, 0]))
+        raise FloatingPointError(
+            f"posterior weights underflowed at every node at t={t:g}, beta={beta:g} "
+            f"for {len(bad)} query rows in {rows.start}:{rows.stop} (first {bad[0]})"
+        )
     w = lk - top
     np.exp(w, out=w)
     total = w.sum(axis=1, keepdims=True)

@@ -23,6 +23,7 @@ import numpy as np
 
 from .datasets import make_dataset
 from .energies import EnergySpec
+from .grids import node_blocks
 from .mixtures import GaussianMixture, gmm_sample
 from .nn import AdamState, MlpModel, adam_step, backward, forward_cached
 from .oracle import GuidedOracle
@@ -222,31 +223,31 @@ def _conditional_exact(model: MlpModel, oracle: GuidedOracle, t_nodes, form: str
     """Double-quadrature conditional loss over (x0 nodes) x (x probes).
 
     Per-datum targets are affine in x0, so node sums reduce to zeroth, first,
-    and second moments under the raw (non-log) Boltzmann-weighted kernel.
+    and second moments under the raw (non-log) Boltzmann-weighted kernel,
+    filled over blocks of probe rows (grids.node_blocks).
     """
     node_set = oracle.nodes
     nodes, e = node_set.points, node_set.energy
+    n, dim = nodes.shape
+    sq_norm = (nodes**2).sum(-1)
     shifted = np.exp(node_set.log_mass) * np.exp(-oracle.energy.beta * (e - e.min()))
     bw = shifted / shifted.sum()  # mass_m exp(-beta E_m) / Z
     total = 0.0
     acc_w = [np.zeros_like(w) for w in model.weights]
     acc_b = [np.zeros_like(b) for b in model.biases]
+    s0, s1, s2 = np.empty(n), np.empty_like(nodes), np.empty(n)
     for t in t_nodes:
         mu = float(oracle.sched.mu(t))
         sig2 = float(oracle.sched.sigma(t)) ** 2
         a_coef = float(oracle.sched.drift_coef(t))
         c_coef = float(oracle.sched.score_coef(t))
-        dim = nodes.shape[1]
-        sq = (
-            (nodes**2).sum(-1)[:, None]
-            - 2.0 * mu * (nodes @ nodes.T)
-            + mu**2 * (nodes**2).sum(-1)[None, :]
-        )
-        kern = np.exp(-0.5 * sq / sig2) / (2.0 * np.pi * sig2) ** (dim / 2.0)
-        r = kern * bw[None, :] * node_set.cell_area  # (x probe, x0 node)
-        s0 = r.sum(axis=1)
-        s1 = r @ nodes
-        s2 = r @ (nodes**2).sum(-1)
+        for sl in node_blocks(n, n):
+            sq = sq_norm[sl, None] - 2.0 * mu * (nodes[sl] @ nodes.T) + mu**2 * sq_norm[None, :]
+            kern = np.exp(-0.5 * sq / sig2) / (2.0 * np.pi * sig2) ** (dim / 2.0)
+            r = kern * bw[None, :] * node_set.cell_area  # (x probe, x0 node)
+            s0[sl] = r.sum(axis=1)
+            s1[sl] = r @ nodes
+            s2[sl] = r @ sq_norm
         if form == "flow":
             # u(x|x0) = (a - c/sig2) x + (c mu / sig2) x0
             px = (a_coef - c_coef / sig2) * nodes

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ewflow.datasets import make_dataset
-from ewflow.grids import DensityGrid, grid_sample, grid_tv_distance
+from ewflow import grids
+from ewflow.grids import DensityGrid, grid_sample, grid_tv_distance, node_blocks
 from ewflow.mixtures import GaussianMixture
 from ewflow.rng import Rng
 
@@ -94,3 +95,18 @@ def test_save_load_round_trip(tmp_path):
 def test_negative_values_rejected():
     with pytest.raises(ValueError):
         DensityGrid(0, 1, 0, 1, -np.ones((4, 4)))
+
+
+@pytest.mark.parametrize(
+    "n_rows, n_nodes", [(0, 10), (1, 10), (256, 4096), (257, 4096), (1100, 4096), (5, 10**9)]
+)
+def test_node_blocks_cover_rows_in_equal_blocks_within_byte_budget(n_rows, n_nodes):
+    blocks = list(node_blocks(n_rows, n_nodes))
+    rows = np.concatenate([np.arange(n_rows)[sl] for sl in blocks]) if blocks else np.empty(0)
+    assert np.array_equal(rows, np.arange(n_rows))
+    sizes = [sl.stop - sl.start for sl in blocks]
+    assert all(size == 1 or size * n_nodes * 8 <= grids._BLOCK_BYTES for size in sizes)
+    assert not sizes or (min(sizes) >= 1 and max(sizes) - min(sizes) <= 1)
+    # the fewest blocks that fit
+    per_block = max(1, grids._BLOCK_BYTES // (8 * n_nodes))
+    assert len(blocks) == -(-n_rows // per_block)

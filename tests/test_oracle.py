@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ewflow
+from ewflow import grids
 from ewflow.datasets import make_dataset
 from ewflow.energies import EnergySpec
-from ewflow.mixtures import GaussianMixture, gmm_score, path_marginal
+from ewflow.mixtures import GaussianMixture, gmm_sample, gmm_score, path_marginal
 from ewflow.oracle import GuidedOracle
 from ewflow.paths import PathSchedule, velocity_from_score
 from ewflow.rng import Rng
@@ -234,6 +241,83 @@ def test_grid_base_oracle_matches_mixture_oracle():
         lambda p: np.asarray(_tilted_density(exact, p)), ((a.x_min, a.x_max), (a.y_min, a.y_max)), 128
     )
     assert 0.5 * np.abs(a.masses() - b.masses()).sum() < 5e-3
+
+
+def test_kernel_blocks_are_bit_identical_to_one_block(monkeypatch):
+    gmm = make_dataset("8gaussians")
+    energy = EnergySpec.quadratic([0.25, 0.25], 1.0, center=[4.0, 0.0], classifier=True)
+    sched = PathSchedule.ot()
+    orc = GuidedOracle(gmm, energy, sched, grid_res=64)
+    n_nodes = len(orc.nodes.points)
+    # row counts that are not a multiple of the 256-row block: a greedy split
+    # would leave a short last block (76 and 1 rows)
+    sizes = {0.35: 1100, 0.7: 2049}
+    queries = {t: gmm_sample(path_marginal(gmm, sched, t), Rng(21), n) for t, n in sizes.items()}
+
+    def fields():
+        out = []
+        for t, x in queries.items():
+            out += [
+                orc.guided_velocity(x, t, route="quad"),
+                orc.intermediate_energy(x, t, route="quad"),
+                orc.marginal_logdensity(x, t, route="quad"),
+                *orc.guided_logdensity_and_score(x, t),
+            ]
+        return out
+
+    assert all(len(list(grids.node_blocks(n, n_nodes))) > 1 for n in sizes.values())
+    shipped = fields()
+    monkeypatch.setattr(grids, "_BLOCK_BYTES", 8 * max(sizes.values()) * n_nodes)
+    assert all(len(list(grids.node_blocks(n, n_nodes))) == 1 for n in sizes.values())
+    for a, b in zip(shipped, fields()):
+        assert np.array_equal(a, b)
+
+
+def test_underflow_names_time_beta_and_rows():
+    orc = _bimodal_classifier_oracle(beta=1.5, sched=PathSchedule.ot())
+    # |x - mu_t x0|^2 / sigma_t^2 overflows for this far-off query at t = 1e-3
+    # (sigma_t = 0.0064), so its log-kernel is -inf at every node
+    x = np.array([[0.0], [1e153], [0.5]])
+    want = r"t=0\.001, beta=1\.5 for 1 query rows in 0:3 \(first 1\)"
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match=want):
+        orc.guided_score(x, 1e-3, route="quad")
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_default_resolution_quadrature_call_has_bounded_peak_rss():
+    # The child reports its own peak RSS (VmHWM), not ru_maxrss: Linux carries
+    # the parent's resident size across fork and exec into ru_maxrss, so a
+    # large test process would inflate the child's figure.
+    code = """
+import re
+import numpy as np
+from ewflow.datasets import make_dataset
+from ewflow.energies import EnergySpec
+from ewflow.mixtures import gmm_sample, path_marginal
+from ewflow.oracle import GuidedOracle
+from ewflow.paths import PathSchedule
+from ewflow.rng import Rng
+
+gmm = make_dataset("8gaussians")
+energy = EnergySpec.quadratic([0.25, 0.25], 1.0, center=[4.0, 0.0], classifier=True)
+sched = PathSchedule.ot()
+orc = GuidedOracle(gmm, energy, sched)
+assert len(orc.nodes.points) == 256**2
+x = gmm_sample(path_marginal(gmm, sched, 0.5), Rng(22), 1024)
+assert np.all(np.isfinite(orc.guided_velocity(x, 0.5, route="quad")))
+with open("/proc/self/status") as fh:
+    print(int(re.search(r"VmHWM:\\s+(\\d+) kB", fh.read()).group(1)) / 1024.0)
+"""
+    src = str(Path(ewflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert out.returncode == 0, out.stderr
+    peak_mib = float(out.stdout.split()[-1])
+    # Budget 150 MiB: the interpreter with numpy plus a few byte-budgeted kernel
+    # blocks. Blocks of 4096 rows took about 1,076 MiB on this call.
+    assert peak_mib < 150.0
 
 
 def _tilted_density(oracle, pts):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ewflow import grids
 from ewflow.datasets import make_dataset
 from ewflow.energies import EnergySpec
 from ewflow.mixtures import gmm_sample
@@ -215,6 +216,24 @@ def test_marginal_exact_losses_take_one_kernel_pass_per_time(monkeypatch):
         calls.clear()
         fn(model, oracle, t_nodes)
         assert calls == [n_nodes] * len(t_nodes)
+
+
+@pytest.mark.parametrize("grid_res", [48, 56])
+def test_exact_loss_blocks_are_bit_identical_to_one_block(monkeypatch, grid_res):
+    # 48 is the acceptance-05 grid; at 56 a greedy split of the 3136 probe rows
+    # into 334-row blocks would leave a short last block of 130 rows
+    oracle, model = _exact_setup(grid_res=grid_res)
+    n_nodes = len(oracle.nodes.points)
+    t_nodes = [0.25, 0.5, 0.75]
+    fns = (loss_efm_exact, loss_cefm_exact, loss_ed_exact, loss_ced_exact)
+    assert len(list(grids.node_blocks(n_nodes, n_nodes))) > 1
+    shipped = [fn(model, oracle, t_nodes) for fn in fns]
+    monkeypatch.setattr(grids, "_BLOCK_BYTES", 8 * n_nodes * n_nodes)
+    assert len(list(grids.node_blocks(n_nodes, n_nodes))) == 1
+    for fn, (loss, grads) in zip(fns, shipped):
+        loss_one, grads_one = fn(model, oracle, t_nodes)
+        assert loss == loss_one
+        assert np.array_equal(_flat(grads), _flat(grads_one))
 
 
 def test_exact_flow_loss_beta_zero_is_plain_field_matching():
