@@ -50,10 +50,6 @@ def _fail(exc: BaseException) -> "NoReturn":  # noqa: F821
     sys.exit(kind)
 
 
-def _prepare_out(out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-
-
 def _write_log(path, rows) -> None:
     with open(path, "w") as fh:
         fh.write(_LOG_HEADER)
@@ -88,7 +84,7 @@ def _train_config_from(cfg: dict) -> TrainConfig:
 
 def run_train(cfg: dict, out_dir: str) -> dict:
     started = time.perf_counter()
-    _prepare_out(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
     try:
         tc = _train_config_from(cfg)
     except ValueError as exc:
@@ -126,7 +122,7 @@ def run_sample(
     guidance_beta: float | None,
 ) -> dict:
     started = time.perf_counter()
-    _prepare_out(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
     model, meta = load_checkpoint(checkpoint)
     sched = build_schedule(meta.get("path", {}))
     kind = {"euler": "euler_ode", "heun": "heun_ode", "ancestral": "ancestral"}.get(sampler)
@@ -171,7 +167,7 @@ def sample(checkpoint, out_dir, n, sampler, steps, seed, guidance_beta):
 
 def run_eval(cfg: dict, samples_path: str, out_dir: str) -> dict:
     started = time.perf_counter()
-    _prepare_out(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
     samples, _ = read_samples_csv(samples_path)
     gmm = make_dataset(cfg["dataset"])
     energy = build_energy(cfg)
@@ -231,7 +227,7 @@ def run_compare_guidance(cfg: dict, out_dir: str) -> dict:
     from .compare import compare_guidance
 
     started = time.perf_counter()
-    _prepare_out(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
     report, outputs = compare_guidance(cfg, out_dir)
     path = os.path.join(out_dir, "report.json")
     with open(path, "w") as fh:
@@ -268,7 +264,7 @@ def run_qipo(cfg: dict, out_dir: str) -> dict:
     )
 
     started = time.perf_counter()
-    _prepare_out(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
     if cfg["env"] != "bandit":
         raise ConfigError(f"unsupported env {cfg['env']!r} for the qipo command (use 'bandit')")
     rng = Rng(cfg["seed"])

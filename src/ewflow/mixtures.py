@@ -54,10 +54,6 @@ class GaussianMixture:
     def dim(self) -> int:
         return self.means.shape[1]
 
-    @property
-    def n_components(self) -> int:
-        return self.weights.shape[0]
-
     @staticmethod
     def create(weights, means, variances) -> "GaussianMixture":
         """Build a mixture, normalizing the weights exactly."""

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, replace
+from itertools import zip_longest
 
 import numpy as np
 
@@ -46,7 +48,12 @@ def time_embedding(t: np.ndarray, dim: int) -> np.ndarray:
 
 @dataclass
 class MlpModel:
-    """MLP over [x, emb(t), context?, emb(beta)?] with SiLU hidden layers."""
+    """MLP over [x, emb(t), context?, emb(beta)?] with SiLU hidden layers.
+
+    All parameters live in one float64 vector, params, laid out w0, b0, w1,
+    b1, ... (the checkpoint blob's order); weights and biases are per-layer
+    views into it, so writing through a view writes params.
+    """
 
     in_dim: int
     out_dim: int
@@ -54,8 +61,14 @@ class MlpModel:
     embed_dim: int = 64
     context_dim: int = 0
     accepts_beta: bool = False
-    weights: list = field(default_factory=list)
-    biases: list = field(default_factory=list)
+    params: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.params is None:
+            self.params = np.zeros(self.n_params)
+        if self.params.shape != (self.n_params,):
+            raise ValueError(f"params shape {self.params.shape} != ({self.n_params},)")
+        self.weights, self.biases = self.layer_views(self.params)
 
     @property
     def input_width(self) -> int:
@@ -75,6 +88,24 @@ class MlpModel:
         sizes = self.layer_sizes
         return sum(sizes[i] * sizes[i + 1] + sizes[i + 1] for i in range(len(sizes) - 1))
 
+    def layout(self) -> list[dict]:
+        """(name, shape, offset) of each weight and bias in the flat vector, in order."""
+        entries, offset = [], 0
+        sizes = self.layer_sizes
+        for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+            for name, shape in ((f"w{i}", [fan_in, fan_out]), (f"b{i}", [fan_out])):
+                entries.append({"name": name, "shape": shape, "offset": offset})
+                offset += math.prod(shape)
+        return entries
+
+    def layer_views(self, flat: np.ndarray) -> tuple[list, list]:
+        """Per-layer (weights, biases) views into a parameter-sized flat vector."""
+        views = [
+            flat[e["offset"] : e["offset"] + math.prod(e["shape"])].reshape(e["shape"])
+            for e in self.layout()
+        ]
+        return views[0::2], views[1::2]
+
     @staticmethod
     def init(
         in_dim: int,
@@ -86,26 +117,15 @@ class MlpModel:
         accepts_beta: bool = False,
     ) -> "MlpModel":
         model = MlpModel(in_dim, out_dim, tuple(hidden), embed_dim, context_dim, accepts_beta)
-        sizes = model.layer_sizes
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            model.weights.append(rng.normal((fan_in, fan_out)) / np.sqrt(fan_in))
-            model.biases.append(np.zeros(fan_out))
+        for w in model.weights:
+            w[:] = rng.normal(w.shape) / np.sqrt(w.shape[0])
         return model
 
     def copy(self) -> "MlpModel":
-        return MlpModel(
-            self.in_dim,
-            self.out_dim,
-            self.hidden,
-            self.embed_dim,
-            self.context_dim,
-            self.accepts_beta,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
+        return replace(self, params=self.params.copy())
 
     def flat_params(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for pair in zip(self.weights, self.biases) for a in pair])
+        return self.params.copy()
 
     def arch(self) -> dict:
         return {
@@ -227,73 +247,59 @@ def _silu_grad(g: np.ndarray, z: np.ndarray, s: np.ndarray) -> np.ndarray:
     return d
 
 
-def backward(model: MlpModel, cache, upstream: np.ndarray):
-    """Gradients of sum(output * upstream) w.r.t. all weights and biases."""
+def backward(model: MlpModel, cache, upstream: np.ndarray) -> np.ndarray:
+    """Gradient of sum(output * upstream) w.r.t. params, as one flat vector in its layout."""
     activations, pre, sigmoids = cache
     g = np.atleast_2d(np.asarray(upstream, dtype=float))
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
+    grad = np.empty(model.n_params)
+    grads_w, grads_b = model.layer_views(grad)
     for i in range(len(model.weights) - 1, -1, -1):
         if i != len(model.weights) - 1:
             g = _silu_grad(g, pre[i], sigmoids[i])
-        grads_w[i] = activations[i].T @ g
-        grads_b[i] = g.sum(axis=0)
+        np.matmul(activations[i].T, g, out=grads_w[i])
+        g.sum(axis=0, out=grads_b[i])
         if i > 0:
             g = g @ model.weights[i].T
-    return grads_w, grads_b
+    return grad
 
 
 @dataclass
 class AdamState:
+    """Adam moments m and v in the parameter vector's layout."""
+
     lr: float = 1e-4
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m_w: list = field(default_factory=list)
-    v_w: list = field(default_factory=list)
-    m_b: list = field(default_factory=list)
-    v_b: list = field(default_factory=list)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
     @staticmethod
     def for_model(model: MlpModel, lr: float = 1e-4) -> "AdamState":
-        st = AdamState(lr=lr)
-        st.m_w = [np.zeros_like(w) for w in model.weights]
-        st.v_w = [np.zeros_like(w) for w in model.weights]
-        st.m_b = [np.zeros_like(b) for b in model.biases]
-        st.v_b = [np.zeros_like(b) for b in model.biases]
-        return st
+        return AdamState(lr=lr, m=np.zeros(model.n_params), v=np.zeros(model.n_params))
 
 
-def adam_step(state: AdamState, model: MlpModel, grads_w, grads_b) -> None:
-    """Bias-corrected Adam update, in place."""
+def adam_step(state: AdamState, model: MlpModel, grad: np.ndarray) -> None:
+    """Bias-corrected Adam update of model.params from a flat gradient, in place."""
+    if grad.shape != model.params.shape:
+        raise ValueError(f"gradient shape {grad.shape} != {model.params.shape}")
     state.step += 1
     c1 = 1.0 - state.beta1**state.step
     c2 = 1.0 - state.beta2**state.step
-    for i in range(len(model.weights)):
-        for params, grads, m, v in (
-            (model.weights, grads_w, state.m_w, state.v_w),
-            (model.biases, grads_b, state.m_b, state.v_b),
-        ):
-            if grads[i].shape != params[i].shape:
-                raise ValueError(f"gradient shape {grads[i].shape} != {params[i].shape}")
-            m[i] *= state.beta1
-            m[i] += (1.0 - state.beta1) * grads[i]
-            v[i] *= state.beta2
-            v[i] += (1.0 - state.beta2) * grads[i] ** 2
-            params[i] -= state.lr * (m[i] / c1) / (np.sqrt(v[i] / c2) + state.eps)
+    state.m *= state.beta1
+    state.m += (1.0 - state.beta1) * grad
+    state.v *= state.beta2
+    state.v += (1.0 - state.beta2) * grad**2
+    model.params -= state.lr * (state.m / c1) / (np.sqrt(state.v / c2) + state.eps)
 
 
 def soft_update(target: MlpModel, online: MlpModel, lam: float) -> None:
     """Polyak average: target <- (1 - lam) target + lam online, in place."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lam must lie in [0, 1]")
-    for tw, ow in zip(target.weights, online.weights):
-        tw *= 1.0 - lam
-        tw += lam * ow
-    for tb, ob in zip(target.biases, online.biases):
-        tb *= 1.0 - lam
-        tb += lam * ob
+    target.params *= 1.0 - lam
+    target.params += lam * online.params
 
 
 def save_checkpoint(model: MlpModel, path, meta: dict | None = None) -> None:
@@ -301,32 +307,24 @@ def save_checkpoint(model: MlpModel, path, meta: dict | None = None) -> None:
 
     The header's "layout" lists (name, shape, offset-in-floats) in blob order.
     """
-    layout = []
-    offset = 0
-    blobs = []
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        for name, arr in ((f"w{i}", w), (f"b{i}", b)):
-            layout.append({"name": name, "shape": list(arr.shape), "offset": offset})
-            offset += arr.size
-            blobs.append(arr.astype("<f4").ravel())
     header = {
         "format": "ewflow-mlp-v1",
         "arch": model.arch(),
         "dtype": "<f4",
-        "n_params": int(offset),
-        "layout": layout,
+        "n_params": model.n_params,
+        "layout": model.layout(),
         "meta": meta or {},
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        fh.write(np.concatenate(blobs).tobytes())
+        fh.write(model.params.astype("<f4").tobytes())
 
 
 def load_checkpoint(path):
-    """Returns (model, meta)."""
+    """Returns (model, meta).  The header's layout must be the architecture's own."""
     with open(path, "rb") as fh:
         header = json.loads(fh.readline())
-        blob = np.frombuffer(fh.read(), dtype="<f4").astype(float)
+        blob = np.frombuffer(fh.read(), dtype="<f4")
     if header.get("format") != "ewflow-mlp-v1":
         raise ValueError(f"unrecognized checkpoint format in {path}")
     arch = header["arch"]
@@ -343,14 +341,12 @@ def load_checkpoint(path):
             f"checkpoint parameter count {len(blob)} does not match architecture "
             f"({model.n_params} expected)"
         )
-    by_name = {entry["name"]: entry for entry in header["layout"]}
-    sizes = model.layer_sizes
-    for i in range(len(sizes) - 1):
-        for kind, store in (("w", model.weights), ("b", model.biases)):
-            entry = by_name[f"{kind}{i}"]
-            shape = tuple(entry["shape"])
-            start = entry["offset"]
-            store.append(blob[start : start + int(np.prod(shape))].reshape(shape).copy())
+    for i, (want, got) in enumerate(zip_longest(model.layout(), header["layout"])):
+        if want != got:
+            raise ValueError(
+                f"checkpoint layout entry {i} is {got}; the architecture implies {want}"
+            )
+    model.params[:] = blob
     return model, header.get("meta", {})
 
 

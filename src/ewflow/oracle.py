@@ -142,11 +142,6 @@ class GuidedOracle:
             return self._log_z
         return self.nodes.log_z
 
-    def tilted_base(self) -> GaussianMixture:
-        if not self.analytic:
-            raise ValueError("tilted base mixture requires a closed-form energy")
-        return self._tilted
-
     # -------------------------------------------------- densities and energies
 
     def marginal_logdensity(self, x, t: float, route: str = "auto"):

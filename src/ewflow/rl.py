@@ -218,8 +218,8 @@ def behavior_pretrain(
         states = dataset.states[idx]
         t = srng.uniform(T_EPS, 1.0 - T_EPS, batch)
         a_t, eps = perturb(sched, actions, t, srng)
-        _, grads = _policy_loss(model, kind, sched, a_t, t, eps, actions, states, uniform)
-        adam_step(adam, model, *grads)
+        _, grad = _policy_loss(model, kind, sched, a_t, t, eps, actions, states, uniform)
+        adam_step(adam, model, grad)
     return model
 
 
@@ -303,10 +303,17 @@ def q_learning_step(
     pred, cache = forward_cached(qnet, inputs)
     resid = pred[:, 0] - y
     loss = float((resid**2).mean())
-    grads = backward(qnet, cache, (2.0 * resid / b)[:, None])
-    adam_step(adam, qnet, *grads)
+    adam_step(adam, qnet, backward(qnet, cache, (2.0 * resid / b)[:, None]))
     soft_update(q_target, qnet, lam_soft)
     return loss
+
+
+def _transition_batch(dataset: OfflineDataset, idx: np.ndarray) -> dict:
+    """The q_learning_step batch of the dataset's transitions at rows idx."""
+    return {
+        key: getattr(dataset, key)[idx]
+        for key in ("states", "actions", "rewards", "next_states", "terminals")
+    }
 
 
 def train_chain_q(
@@ -330,13 +337,7 @@ def train_chain_q(
     all_actions = np.eye(spec.n_actions)
     for _ in range(steps):
         idx = srng.integers(0, len(dataset), batch)
-        b = {
-            "states": dataset.states[idx],
-            "actions": dataset.actions[idx],
-            "rewards": dataset.rewards[idx],
-            "next_states": dataset.next_states[idx],
-            "terminals": dataset.terminals[idx],
-        }
+        b = _transition_batch(dataset, idx)
         support = np.repeat(all_actions[None], batch, axis=0)
         q_learning_step(qnet, q_target, adam, b, support, beta, spec.gamma, lam_soft)
     return qnet
@@ -364,13 +365,7 @@ def train_bandit_q(
     srng = rng.derive(1)
     for _ in range(steps):
         idx = srng.integers(0, len(dataset), batch)
-        b = {
-            "states": dataset.states[idx],
-            "actions": dataset.actions[idx],
-            "rewards": dataset.rewards[idx],
-            "next_states": dataset.next_states[idx],
-            "terminals": dataset.terminals[idx],
-        }
+        b = _transition_batch(dataset, idx)
         support = dataset.actions[idx][:, None, :]  # unused at gamma = 0
         q_learning_step(qnet, q_target, adam, b, support, beta=0.0, gamma=0.0)
     return lambda states, actions: q_forward(qnet, states, actions)
@@ -464,11 +459,11 @@ def qipo_iterate(
             flat_s = np.repeat(states, m1, axis=0)
             t = epoch_rng.uniform(T_EPS, 1.0 - T_EPS, bsz * m1)
             a_t, eps = perturb(sched, flat_a, t, epoch_rng)
-            _, grads = _policy_loss(
+            _, grad = _policy_loss(
                 policy, cfg.policy_kind, sched, a_t, t, eps, flat_a, flat_s,
                 g.ravel() / bsz,
             )
-            adam_step(adam, policy, *grads)
+            adam_step(adam, policy, grad)
             soft_update(policy_target, policy, cfg.lambda_soft)
         if k % cfg.eval_every == 0 or k == cfg.k3:
             eval_rows.append(

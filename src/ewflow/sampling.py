@@ -242,8 +242,9 @@ def read_samples_csv(path):
     """Returns (samples, meta)."""
     with open(path) as fh:
         first = fh.readline()
-        meta = json.loads(first[1:].strip()) if first.startswith("#") else {}
-        header = fh.readline() if first.startswith("#") else first
-        del header
+        meta = {}
+        if first.startswith("#"):
+            meta = json.loads(first[1:].strip())
+            fh.readline()  # the column names follow the meta line
         rows = [list(map(float, line.split(","))) for line in fh if line.strip()]
     return np.array(rows), meta

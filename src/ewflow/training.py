@@ -107,8 +107,7 @@ def _weighted_field_loss(model: MlpModel, inputs, targets, weights, t, context=N
     resid = pred - targets
     loss = float((weights * (resid**2).sum(axis=1)).sum())
     upstream = 2.0 * weights[:, None] * resid
-    grads = backward(model, cache, upstream)
-    return loss, grads
+    return loss, backward(model, cache, upstream)
 
 
 def loss_cfm(model: MlpModel, batch: WeightedBatch, sched: PathSchedule):
@@ -145,7 +144,7 @@ def loss_cfg_pair(model: MlpModel, batch: WeightedBatch, labels: np.ndarray, sch
     """Denoising losses for the null-token and class-token passes of one network.
 
     The unconditional term sees every sample; the conditional term only the
-    label-1 subset.  Returns (loss_uncond, loss_cond, grads).
+    label-1 subset.  Returns (loss_uncond, loss_cond, flat gradient).
     """
     if model.context_dim != 2:
         raise ValueError("classifier-pair training expects context_dim=2 (null/class tokens)")
@@ -156,7 +155,7 @@ def loss_cfg_pair(model: MlpModel, batch: WeightedBatch, labels: np.ndarray, sch
     pred_u, cache_u = forward_cached(model, batch.x_t, batch.times, context=ctx_u)
     resid_u = pred_u - target
     loss_u = float((resid_u**2).sum() / n)
-    gw_u, gb_u = backward(model, cache_u, 2.0 * resid_u / n)
+    grad_u = backward(model, cache_u, 2.0 * resid_u / n)
 
     mask = labels.astype(float)
     m = max(mask.sum(), 1.0)
@@ -164,10 +163,8 @@ def loss_cfg_pair(model: MlpModel, batch: WeightedBatch, labels: np.ndarray, sch
     pred_c, cache_c = forward_cached(model, batch.x_t, batch.times, context=ctx_c)
     resid_c = pred_c - target
     loss_c = float((mask * (resid_c**2).sum(axis=1)).sum() / m)
-    gw_c, gb_c = backward(model, cache_c, 2.0 * mask[:, None] * resid_c / m)
-
-    grads = ([a + b for a, b in zip(gw_u, gw_c)], [a + b for a, b in zip(gb_u, gb_c)])
-    return loss_u, loss_c, grads
+    grad_c = backward(model, cache_c, 2.0 * mask[:, None] * resid_c / m)
+    return loss_u, loss_c, grad_u + grad_c
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +184,7 @@ def _marginal_exact(model: MlpModel, oracle: GuidedOracle, t_nodes, form: str):
     """
     nodes = oracle.nodes
     total = 0.0
-    acc_w = [np.zeros_like(w) for w in model.weights]
-    acc_b = [np.zeros_like(b) for b in model.biases]
+    acc = np.zeros(model.n_params)
     for t in t_nodes:
         log_q, score = oracle.guided_logdensity_and_score(nodes.points, t)
         w = np.exp(log_q) * nodes.cell_area / len(t_nodes)
@@ -196,17 +192,21 @@ def _marginal_exact(model: MlpModel, oracle: GuidedOracle, t_nodes, form: str):
             target = velocity_from_score(oracle.sched, nodes.points, score, t)
         else:
             target = -float(oracle.sched.sigma(t)) * score
-        loss, (gw, gb) = _weighted_field_loss(model, nodes.points, target, w, float(t))
+        loss, grad = _weighted_field_loss(model, nodes.points, target, w, float(t))
         total += loss
-        for i in range(len(acc_w)):
-            acc_w[i] += gw[i]
-            acc_b[i] += gb[i]
-    return total, (acc_w, acc_b)
+        acc += grad
+    return total, acc
+
+
+def _per_layer(model: MlpModel, loss_and_grad):
+    """(loss, (grads_w, grads_b)): the flat gradient as per-layer views."""
+    loss, grad = loss_and_grad
+    return loss, model.layer_views(grad)
 
 
 def loss_efm_exact(model: MlpModel, oracle: GuidedOracle, t_nodes):
     """Marginal-form flow loss: weighted squared error against the guided field."""
-    return _marginal_exact(model, oracle, t_nodes, "flow")
+    return _per_layer(model, _marginal_exact(model, oracle, t_nodes, "flow"))
 
 
 def loss_ed_exact(model: MlpModel, oracle: GuidedOracle, t_nodes):
@@ -216,7 +216,7 @@ def loss_ed_exact(model: MlpModel, oracle: GuidedOracle, t_nodes):
     score under the package's score parameterization; weights carry the same
     sigma_t^2 time factor as loss_ced.
     """
-    return _marginal_exact(model, oracle, t_nodes, "score")
+    return _per_layer(model, _marginal_exact(model, oracle, t_nodes, "score"))
 
 
 def _conditional_exact(model: MlpModel, oracle: GuidedOracle, t_nodes, form: str):
@@ -233,8 +233,7 @@ def _conditional_exact(model: MlpModel, oracle: GuidedOracle, t_nodes, form: str
     shifted = np.exp(node_set.log_mass) * np.exp(-oracle.energy.beta * (e - e.min()))
     bw = shifted / shifted.sum()  # mass_m exp(-beta E_m) / Z
     total = 0.0
-    acc_w = [np.zeros_like(w) for w in model.weights]
-    acc_b = [np.zeros_like(b) for b in model.biases]
+    acc = np.zeros(model.n_params)
     s0, s1, s2 = np.empty(n), np.empty_like(nodes), np.empty(n)
     for t in t_nodes:
         mu = float(oracle.sched.mu(t))
@@ -264,20 +263,17 @@ def _conditional_exact(model: MlpModel, oracle: GuidedOracle, t_nodes, form: str
             ((pred**2).sum(-1) * s0 - 2.0 * (pred * target_sum).sum(-1) + const).sum()
         ) / len(t_nodes)
         upstream = 2.0 * (pred * s0[:, None] - target_sum) / len(t_nodes)
-        gw, gb = backward(model, cache, upstream)
         total += loss
-        for i in range(len(acc_w)):
-            acc_w[i] += gw[i]
-            acc_b[i] += gb[i]
-    return total, (acc_w, acc_b)
+        acc += backward(model, cache, upstream)
+    return total, acc
 
 
 def loss_cefm_exact(model: MlpModel, oracle: GuidedOracle, t_nodes):
-    return _conditional_exact(model, oracle, t_nodes, "flow")
+    return _per_layer(model, _conditional_exact(model, oracle, t_nodes, "flow"))
 
 
 def loss_ced_exact(model: MlpModel, oracle: GuidedOracle, t_nodes):
-    return _conditional_exact(model, oracle, t_nodes, "score")
+    return _per_layer(model, _conditional_exact(model, oracle, t_nodes, "score"))
 
 
 # --------------------------------------------------------------------- loop
@@ -357,14 +353,14 @@ def train_density_model(cfg: TrainConfig) -> TrainResult:
     start = time.perf_counter()
     for step in range(1, cfg.steps + 1):
         if cfg.loss in ("efm_exact", "ed_exact"):
-            fn = loss_efm_exact if cfg.loss == "efm_exact" else loss_ed_exact
-            loss, grads = fn(model, oracle, t_nodes)
+            form = "flow" if cfg.loss == "efm_exact" else "score"
+            loss, grad = _marginal_exact(model, oracle, t_nodes, form)
         elif cfg.loss == "ced_beta_input":
             beta = float(batch_rng.uniform(0.0, cfg.beta_max))
             batch = build_weighted_batch(
                 data, cfg.energy, cfg.sched, batch_rng, cfg.batch, beta=beta
             )
-            loss, grads = loss_ced(model, batch, cfg.sched, beta_norm=beta / cfg.beta_max)
+            loss, grad = loss_ced(model, batch, cfg.sched, beta_norm=beta / cfg.beta_max)
         elif cfg.loss == "cfg":
             idx = batch_rng.integers(0, len(data), cfg.batch)
             x0 = data[idx]
@@ -373,17 +369,17 @@ def train_density_model(cfg: TrainConfig) -> TrainResult:
             batch = WeightedBatch(
                 x0, np.zeros(cfg.batch), np.full(cfg.batch, 1.0 / cfg.batch), t, eps, x_t
             )
-            lu, lc, grads = loss_cfg_pair(model, batch, labels[idx], cfg.sched)
+            lu, lc, grad = loss_cfg_pair(model, batch, labels[idx], cfg.sched)
             loss = lu + lc
         else:
             batch = build_weighted_batch(data, cfg.energy, cfg.sched, batch_rng, cfg.batch)
             if cfg.loss == "cfm":
-                loss, grads = loss_cfm(model, batch, cfg.sched)
+                loss, grad = loss_cfm(model, batch, cfg.sched)
             elif cfg.loss == "cefm":
-                loss, grads = loss_cefm(model, batch, cfg.sched)
+                loss, grad = loss_cefm(model, batch, cfg.sched)
             else:
-                loss, grads = loss_ced(model, batch, cfg.sched)
-        adam_step(adam, model, *grads)
+                loss, grad = loss_ced(model, batch, cfg.sched)
+        adam_step(adam, model, grad)
         if step % cfg.log_every == 0 or step == cfg.steps:
             rows.append((step, loss, (time.perf_counter() - start) * 1000.0))
 

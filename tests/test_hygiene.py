@@ -1,8 +1,14 @@
-"""Source hygiene: every imported name is used.
+"""Source hygiene: every imported name is used, and every definition is named.
 
 Walks the AST of each module under src/ and tests/ and fails on a name that
 an import binds but no expression ever loads.  Names listed in a module's
 __all__ count as used, so package re-exports pass.
+
+A second check fails on any top-level function or class, or method of a
+top-level class, defined under src/ whose name no module under src/, tests/
+or bench/ mentions: as a loaded name, an attribute, or a string that is
+exactly the name (bench/ looks functions up by name).  Strings in __all__ do
+not count.  Dunders and click commands are exempt.
 """
 
 import ast
@@ -11,7 +17,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+SOURCES = sorted((ROOT / "src").rglob("*.py"))
+MODULES = SOURCES + sorted((ROOT / "tests").rglob("*.py"))
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -36,3 +43,56 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 def test_no_unused_imports(path):
     unused = _unused_imports(ast.parse(path.read_text(), filename=str(path)))
     assert not unused, f"{path.relative_to(ROOT)} imports unused names: {', '.join(unused)}"
+
+
+def _mentions(tree: ast.Module) -> set[str]:
+    exported = {
+        id(e)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for e in ast.walk(node.value)
+    }
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) not in exported:
+                names.add(node.value)
+    return names
+
+
+def _definitions(tree: ast.Module):
+    """Top-level functions and classes, and the methods of top-level classes."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (n for n in node.body if isinstance(n, defs[:2]))
+
+
+def _is_click_command(node) -> bool:
+    return any(
+        isinstance(d, ast.Call)
+        and isinstance(d.func, ast.Attribute)
+        and d.func.attr in ("command", "group")
+        for d in getattr(node, "decorator_list", [])
+    )
+
+
+def test_every_source_definition_is_named_somewhere():
+    scanned = MODULES + sorted((ROOT / "bench").rglob("*.py"))
+    mentioned = set().union(*(_mentions(ast.parse(p.read_text())) for p in scanned))
+    unnamed = [
+        f"{path.relative_to(ROOT)}:{node.lineno} {node.name}"
+        for path in SOURCES
+        for node in _definitions(ast.parse(path.read_text(), filename=str(path)))
+        if not (node.name.startswith("__") and node.name.endswith("__"))
+        and not _is_click_command(node)
+        and node.name not in mentioned
+    ]
+    assert not unnamed, "definitions nothing names: " + ", ".join(unnamed)

@@ -1,3 +1,6 @@
+import json
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from ewflow.nn import (
     MlpModel,
     adam_step,
     backward,
+    file_sha256,
     forward,
     forward_cached,
     load_checkpoint,
@@ -62,7 +66,7 @@ def test_backward_matches_finite_differences():
     t = rng.uniform(0.1, 0.9, 6)
     up = rng.normal((6, 2))
     _, cache = forward_cached(model, x, t)
-    gw, gb = backward(model, cache, up)
+    gw, gb = model.layer_views(backward(model, cache, up))
     prng = Rng(5)
     h = 1e-4
     for _ in range(20):
@@ -92,7 +96,7 @@ def test_backward_matches_finite_differences():
 def test_zero_upstream_zero_gradients():
     model = MlpModel.init(2, 2, Rng(6), hidden=(8,), embed_dim=4)
     _, cache = forward_cached(model, Rng(7).normal((3, 2)), np.full(3, 0.5))
-    gw, gb = backward(model, cache, np.zeros((3, 2)))
+    gw, gb = model.layer_views(backward(model, cache, np.zeros((3, 2))))
     assert all(np.all(g == 0) for g in gw) and all(np.all(g == 0) for g in gb)
 
 
@@ -101,7 +105,7 @@ def test_linear_gradient_is_outer_product():
     x = Rng(9).normal((5, 3))
     up = Rng(10).normal((5, 2))
     _, cache = forward_cached(model, x)
-    gw, gb = backward(model, cache, up)
+    gw, gb = model.layer_views(backward(model, cache, up))
     assert np.abs(gw[0] - x.T @ up).max() < 1e-12
     assert np.abs(gb[0] - up.sum(axis=0)).max() < 1e-12
 
@@ -110,9 +114,7 @@ def test_adam_zero_gradient_is_noop():
     model = MlpModel.init(2, 1, Rng(11), hidden=(4,), embed_dim=2)
     before = model.flat_params().copy()
     st = AdamState.for_model(model, lr=1e-3)
-    zeros_w = [np.zeros_like(w) for w in model.weights]
-    zeros_b = [np.zeros_like(b) for b in model.biases]
-    adam_step(st, model, zeros_w, zeros_b)
+    adam_step(st, model, np.zeros(model.n_params))
     assert np.array_equal(model.flat_params(), before)
 
 
@@ -123,9 +125,10 @@ def test_adam_first_step_magnitude():
     model.weights[0][:] = 0.0
     model.biases[0][:] = 0.0
     st = AdamState.for_model(model, lr=1e-3)
-    gw = [np.ones_like(model.weights[0])]
-    gb = [np.zeros_like(model.biases[0])]
-    adam_step(st, model, gw, gb)
+    grad = np.zeros(model.n_params)
+    gw, _ = model.layer_views(grad)
+    gw[0][:] = 1.0
+    adam_step(st, model, grad)
     assert model.weights[0][0, 0] == pytest.approx(-1e-3, rel=1e-6)
 
 
@@ -133,10 +136,12 @@ def test_adam_constant_gradient_reaches_sign_step():
     model = MlpModel.init(1, 1, Rng(13), hidden=(), embed_dim=0)
     st = AdamState.for_model(model, lr=1e-3)
     g = 0.37
+    grad = np.zeros(model.n_params)
+    model.layer_views(grad)[0][0][:] = g
     prev = model.weights[0][0, 0]
     for _ in range(500):
         prev = model.weights[0][0, 0]
-        adam_step(st, model, [np.full_like(model.weights[0], g)], [np.zeros_like(model.biases[0])])
+        adam_step(st, model, grad)
     assert abs((prev - model.weights[0][0, 0]) - 1e-3) < 1e-5
 
 
@@ -183,6 +188,32 @@ def test_checkpoint_rejects_corrupt_blob(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_rejects_a_layout_other_than_the_architectures(tmp_path):
+    model = MlpModel.init(2, 2, Rng(24), hidden=(8, 8), embed_dim=4)
+    path = tmp_path / "model.bin"
+    save_checkpoint(model, path)
+    header_line, blob = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
+    layout = header["layout"]
+    layout[0]["shape"], layout[2]["shape"] = layout[2]["shape"], layout[0]["shape"]
+    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + blob)
+    with pytest.raises(ValueError, match=r"layout entry 0 .*'w0'"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_bytes_match_the_recorded_digest(tmp_path):
+    # The ewflow-mlp-v1 bytes of this model, recorded from the per-layer
+    # writer; a rerun's checkpoint.bin is compared byte for byte, so the
+    # format may not drift.
+    rng = Rng(40)
+    model = MlpModel.init(2, 2, rng, hidden=(8, 8), embed_dim=4, context_dim=3, accepts_beta=True)
+    for b in model.biases:
+        b[:] = rng.normal(b.shape)
+    path = tmp_path / "model.bin"
+    save_checkpoint(model, path, meta={"model_kind": "score", "beta": 2.0})
+    assert file_sha256(path) == "6f1db73094d10bae2c5a1950a81b5fbd75a58cca9b2b2816bdc649d4aa721f61"
+
+
 def test_training_determinism_bit_identical():
     def run():
         model = MlpModel.init(2, 2, Rng(20), hidden=(16,), embed_dim=8)
@@ -193,8 +224,7 @@ def test_training_determinism_bit_identical():
             t = data_rng.uniform(0.1, 0.9, 32)
             target = data_rng.normal((32, 2))
             out, cache = forward_cached(model, x, t)
-            gw, gb = backward(model, cache, 2 * (out - target) / 32)
-            adam_step(st, model, gw, gb)
+            adam_step(st, model, backward(model, cache, 2 * (out - target) / 32))
         return model.flat_params()
 
     assert np.array_equal(run(), run())
@@ -300,7 +330,71 @@ def test_forward_cached_gradients_match_recomputed_sigmoid(with_workspace):
             model, x, t, context=ctx, beta_norm=bn, workspace={} if with_workspace else None
         )
         ref_out, activations, pre = _reference_forward_cached(model, x, t, ctx, bn)
-        gw, gb = backward(model, cache, up)
+        gw, gb = model.layer_views(backward(model, cache, up))
         ref_gw, ref_gb = _reference_backward(model, activations, pre, up)
         assert np.array_equal(out, ref_out)
         assert all(np.array_equal(a, b) for a, b in zip(gw + gb, ref_gw + ref_gb))
+
+
+def test_weights_and_biases_are_views_of_params():
+    model = _conditioned_model(8, 3, True)
+    assert all(np.shares_memory(a, model.params) for a in model.weights + model.biases)
+    model.weights[1][0, 0] = 5.0
+    assert model.params[model.layout()[2]["offset"]] == 5.0
+    twin = model.copy()
+    assert np.array_equal(twin.params, model.params)
+    assert not np.shares_memory(twin.params, model.params)
+    assert all(np.shares_memory(a, twin.params) for a in twin.weights + twin.biases)
+
+
+@pytest.mark.parametrize(
+    "hidden, embed_dim, context_dim, rows",
+    [((64, 64), 32, 3, 512), ((16,), 8, 0, 64)],
+    ids=["64x64-e32-context", "16-e8"],
+)
+def test_flat_training_loop_matches_per_layer_reference(hidden, embed_dim, context_dim, rows):
+    """forward_cached -> backward -> adam_step -> soft_update on the flat vector
+    against the same 20 steps over one array per weight and bias."""
+    lr, beta1, beta2, eps, lam = 1e-3, 0.9, 0.999, 1e-8, 0.05
+    model = MlpModel.init(2, 2, Rng(42), hidden=hidden, embed_dim=embed_dim, context_dim=context_dim)
+    target = model.copy()
+    adam = AdamState.for_model(model, lr=lr)
+    ref = SimpleNamespace(
+        weights=[w.copy() for w in model.weights], biases=[b.copy() for b in model.biases],
+        embed_dim=embed_dim, context_dim=context_dim,
+    )
+    ref_params = ref.weights + ref.biases
+    ref_target = [a.copy() for a in ref_params]
+    m = [np.zeros_like(a) for a in ref_params]
+    v = [np.zeros_like(a) for a in ref_params]
+
+    def layout_order(arrays):
+        n = len(arrays) // 2
+        return np.concatenate([a.ravel() for pair in zip(arrays[:n], arrays[n:]) for a in pair])
+
+    data = Rng(43)
+    for step in range(1, 21):
+        x, y = data.normal((rows, 2)), data.normal((rows, 2))
+        t = data.uniform(T_EPS, 1.0 - T_EPS, rows)
+        ctx = data.normal((rows, context_dim)) if context_dim else None
+
+        out, cache = forward_cached(model, x, t, context=ctx)
+        adam_step(adam, model, backward(model, cache, 2.0 * (out - y) / rows))
+        soft_update(target, model, lam)
+
+        ref_out, activations, pre = _reference_forward_cached(ref, x, t, ctx, None)
+        grads_w, grads_b = _reference_backward(ref, activations, pre, 2.0 * (ref_out - y) / rows)
+        c1, c2 = 1.0 - beta1**step, 1.0 - beta2**step
+        for p, g, mi, vi in zip(ref_params, grads_w + grads_b, m, v):
+            mi *= beta1
+            mi += (1.0 - beta1) * g
+            vi *= beta2
+            vi += (1.0 - beta2) * g**2
+            p -= lr * (mi / c1) / (np.sqrt(vi / c2) + eps)
+        for tp, p in zip(ref_target, ref_params):
+            tp *= 1.0 - lam
+            tp += lam * p
+
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(model.params, layout_order(ref_params))
+        assert np.array_equal(target.params, layout_order(ref_target))

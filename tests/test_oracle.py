@@ -9,8 +9,8 @@ import pytest
 import ewflow
 from ewflow import grids
 from ewflow.datasets import make_dataset
-from ewflow.energies import EnergySpec
-from ewflow.mixtures import GaussianMixture, gmm_sample, gmm_score, path_marginal
+from ewflow.energies import EnergySpec, tilt_mixture
+from ewflow.mixtures import GaussianMixture, gmm_logpdf, gmm_sample, gmm_score, path_marginal
 from ewflow.oracle import GuidedOracle
 from ewflow.paths import PathSchedule, velocity_from_score
 from ewflow.rng import Rng
@@ -237,8 +237,9 @@ def test_grid_base_oracle_matches_mixture_oracle():
     for t in (0.4,):
         assert np.abs(orc.guided_score(pts, t) - exact.guided_score(pts, t)).max() < 1e-3
     a = orc.guided_q0_grid(128)
+    tilted = tilt_mixture(gmm, energy)[0]
     b = DensityGrid.from_fn(
-        lambda p: np.asarray(_tilted_density(exact, p)), ((a.x_min, a.x_max), (a.y_min, a.y_max)), 128
+        lambda p: np.exp(gmm_logpdf(tilted, p)), ((a.x_min, a.x_max), (a.y_min, a.y_max)), 128
     )
     assert 0.5 * np.abs(a.masses() - b.masses()).sum() < 5e-3
 
@@ -318,9 +319,3 @@ with open("/proc/self/status") as fh:
     # Budget 150 MiB: the interpreter with numpy plus a few byte-budgeted kernel
     # blocks. Blocks of 4096 rows took about 1,076 MiB on this call.
     assert peak_mib < 150.0
-
-
-def _tilted_density(oracle, pts):
-    from ewflow.mixtures import gmm_logpdf
-
-    return np.exp(gmm_logpdf(oracle.tilted_base(), pts))
