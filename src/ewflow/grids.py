@@ -153,12 +153,16 @@ def mixture_bounds(gmm: GaussianMixture, pad_sigmas: float = 4.0):
 class QuadratureNodes:
     """Midpoint-rule nodes of a base density p0 with an energy E on them.
 
-    points (N, d) are the node positions, log_mass (N,) the log of each
-    node's normalized p0 mass, cell_area the volume of one cell, energy (N,)
-    E at each node, and log_z = log sum_n mass_n exp(-beta E_n), the
-    quadrature value of log E_{p0}[exp(-beta E)].
+    Every node set is a tensor grid: axes holds its 1-D coordinate arrays,
+    (xs, ys) in 2D or (line,) in 1D.  points (N, d) are the node positions,
+    row-major with y the slow axis, so log_mass.reshape(len(ys), len(xs)) is
+    the 2D weight grid; log_mass (N,) is the log of each node's normalized p0
+    mass, cell_area the volume of one cell, energy (N,) E at each node, and
+    log_z = log sum_n mass_n exp(-beta E_n), the quadrature value of
+    log E_{p0}[exp(-beta E)].
     """
 
+    axes: tuple
     points: np.ndarray
     log_mass: np.ndarray
     cell_area: float
@@ -170,19 +174,20 @@ def quadrature_nodes(base, energy, grid_res: int = 256, pad_sigmas: float = 4.0)
     """Node set of a DensityGrid (its own cells), a 2D mixture (a grid_res^2
     grid over its box padded by pad_sigmas) or a 1D mixture (grid_res^2 cells
     on the line out to 8 standard deviations)."""
+    if isinstance(base, GaussianMixture) and base.dim == 2:
+        base = DensityGrid.from_mixture(base, grid_res, pad_sigmas)
     if isinstance(base, DensityGrid):
+        axes = (base.xs, base.ys)
         points, mass, area = base.centers(), base.masses().ravel(), base.cell_area
     elif not isinstance(base, GaussianMixture):
         raise TypeError(f"unsupported base distribution {type(base).__name__}")
-    elif base.dim == 2:
-        grid = DensityGrid.from_mixture(base, grid_res, pad_sigmas)
-        points, mass, area = grid.centers(), grid.masses().ravel(), grid.cell_area
     elif base.dim == 1:
         lo = float(base.means.min() - 8.0 * np.sqrt(base.variances.max()))
         hi = float(base.means.max() + 8.0 * np.sqrt(base.variances.max()))
         n = grid_res * grid_res  # match the 2D node budget in 1D
         area = (hi - lo) / n
-        points = (lo + area * (np.arange(n) + 0.5))[:, None]
+        axes = (lo + area * (np.arange(n) + 0.5),)
+        points = axes[0][:, None]
         dens = np.exp(gmm_logpdf(base, points))
         mass = dens * area / (dens * area).sum()
     else:
@@ -196,7 +201,7 @@ def quadrature_nodes(base, energy, grid_res: int = 256, pad_sigmas: float = 4.0)
     if not np.isfinite(top):
         raise ValueError("all quadrature terms underflowed in the normalization constant")
     log_z = float(top + np.log(np.exp(lw - top).sum()))
-    return QuadratureNodes(points, log_mass, area, e, log_z)
+    return QuadratureNodes(axes, points, log_mass, area, e, log_z)
 
 
 def node_blocks(n_rows: int, n_nodes: int):

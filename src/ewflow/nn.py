@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import zip_longest
 
 import numpy as np
@@ -98,12 +99,14 @@ class MlpModel:
                 offset += math.prod(shape)
         return entries
 
+    @cached_property
+    def _spans(self) -> list[tuple[int, int, tuple]]:
+        """(offset, size, shape) of each layout entry, built once per model."""
+        return [(e["offset"], math.prod(e["shape"]), tuple(e["shape"])) for e in self.layout()]
+
     def layer_views(self, flat: np.ndarray) -> tuple[list, list]:
         """Per-layer (weights, biases) views into a parameter-sized flat vector."""
-        views = [
-            flat[e["offset"] : e["offset"] + math.prod(e["shape"])].reshape(e["shape"])
-            for e in self.layout()
-        ]
+        views = [flat[off : off + size].reshape(shape) for off, size, shape in self._spans]
         return views[0::2], views[1::2]
 
     @staticmethod

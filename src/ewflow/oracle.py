@@ -22,6 +22,20 @@ and the guided score is -(x - mu_t E_q[x0 | x]) / sigma_t^2, the posterior
 average of per-datum scores.  The guided velocity is that score mapped by
 paths.velocity_from_score on both routes.
 
+The kernel is isotropic and every node set is a tensor grid (axes xs, ys),
+so K_t factors into per-axis kernels kx (B, nx) and ky (B, ny), each scaled
+to a row maximum of 1, and the node sum is one matmul against the (ny, nx)
+weight grid W = exp(c - max c), c = log m - beta E:
+
+    S = rowsum((ky @ W) * kx)
+
+costing nx + ny exps per query row instead of nx * ny; first moments weight
+kx by xs, or ky by ys, in the same sums.  A term below the smallest normal
+double may underflow, so a row whose S is not above N * tiny / eps (N nodes)
+is recomputed by the log-domain reduction of the joint kernel, which also
+raises a FloatingPointError naming t, beta and the rows when the kernel
+underflows at every node.
+
 Guidance built from a classifier probability p(c|x) = exp(-E) admits two
 inequivalent score compositions: exponent-inside (exact) and exponent-outside
 (what affine score mixing produces); both are provided.
@@ -91,42 +105,68 @@ class GuidedOracle:
 
     # ------------------------------------------------------------- quadrature
 
-    def _log_kernel(self, x: np.ndarray, t: float, sources: np.ndarray) -> np.ndarray:
-        """(B, N) log N(x; mu_t s_n, sigma_t^2 I) against every source point s_n."""
+    def _axis_log_kernels(self, x: np.ndarray, t: float, axes) -> list:
+        """Per-axis log N(x_a; mu_t g, sigma_t^2) against each coordinate
+        array g of axes, one (B, len(g)) block per axis.
+
+        The joint log kernel against the tensor grid of axes is their
+        broadcast sum (_joint_log_kernel).  Each is a direct difference: the
+        expanded square |x|^2 - 2 mu x.g + mu^2 |g|^2 loses digits to
+        cancellation at small sigma_t.
+        """
         mu = float(self.sched.mu(t))
         sig2 = float(self.sched.sigma(t)) ** 2
-        d = x.shape[1]
-        sq = (
-            (x**2).sum(-1)[:, None]
-            - 2.0 * mu * (x @ sources.T)
-            + mu**2 * (sources**2).sum(-1)[None, :]
-        )
-        return -0.5 * sq / sig2 - 0.5 * d * np.log(2.0 * np.pi * sig2)
+        out = []
+        for a, g in enumerate(axes):
+            lk = x[:, a, None] - mu * g
+            np.square(lk, out=lk)
+            lk *= -0.5 / sig2
+            lk -= 0.5 * np.log(2.0 * np.pi * sig2)
+            out.append(lk)
+        return out
 
     def _posterior(self, x: np.ndarray, t: float, beta: float, mean=False, prior=False):
         """Posterior of x0 given x_t = x under node weights m_n exp(-beta E_n).
 
         Returns (log_norm, post_mean, log_p): the log-normaliser
         log sum_n m_n exp(-beta E_n) K_t(x, x0_n); with mean, the posterior
-        mean of x0; with prior, the beta = 0 log-normaliser log p_t(x) taken
-        from the same kernel block.  Each block of rows (grids.node_blocks)
-        evaluates the kernel once.
+        mean of x0; with prior, the beta = 0 log-normaliser log p_t(x) from
+        the same kernel factors.  Each block of rows (grids.node_blocks)
+        evaluates the per-axis kernels once; the sums are factored over the
+        tensor grid (_factored_sums), and a row whose sum is not above
+        _UNDERFLOW_FLOOR per node is redone by the log-domain joint reduction.
         """
         nodes = self.nodes
-        log_norm = np.empty(len(x))
+        floor = len(nodes.points) * _UNDERFLOW_FLOOR
+        shape = [len(g) for g in reversed(nodes.axes)]
+        tilts = []  # (beta, mean?, log weights, their max, scaled weight grid, output)
+        for b, want_mean in ([(0.0, False)] if prior else []) + [(beta, mean)]:
+            log_w = nodes.log_mass - b * nodes.energy if b else nodes.log_mass
+            top = float(log_w.max())
+            tilts.append((b, want_mean, log_w, top, np.exp(log_w - top).reshape(shape), np.empty(len(x))))
         post_mean = np.empty_like(x) if mean else None
-        log_p = np.empty(len(x)) if prior else None
         for sl in node_blocks(len(x), len(nodes.points)):
-            lk = self._log_kernel(x[sl], t, nodes.points)
-            lk += nodes.log_mass
-            if prior:
-                log_p[sl] = _reduce(lk, t, 0.0, sl)[0]
-            if beta:
-                lk -= beta * nodes.energy
-            log_norm[sl], m = _reduce(lk, t, beta, sl, nodes.points if mean else None)
-            if mean:
-                post_mean[sl] = m
-        return log_norm, post_mean, log_p
+            lks = self._axis_log_kernels(x[sl], t, nodes.axes)
+            peaks = [lk.max(axis=1, keepdims=True) for lk in lks]
+            # a row whose kernel is -inf at every node yields nan here and is
+            # left to the log-domain reduction, which names it
+            with np.errstate(invalid="ignore", divide="ignore"):
+                ks = [np.exp(lk - peak) for lk, peak in zip(lks, peaks)]
+                shift = sum(peak[:, 0] for peak in peaks)
+                for b, want_mean, log_w, top, w, log_norm in tilts:
+                    s, moments = _factored_sums(ks, w, nodes.axes, want_mean)
+                    log_norm[sl] = np.log(s) + shift + top
+                    if want_mean:
+                        post_mean[sl] = moments / s[:, None]
+                    bad = np.flatnonzero(~(s > floor))
+                    if len(bad) == 0:
+                        continue
+                    rows = sl.start + bad
+                    joint = _joint_log_kernel([lk[bad] for lk in lks]) + log_w
+                    log_norm[rows], m = _reduce(joint, t, b, sl, rows, nodes.points if want_mean else None)
+                    if want_mean:
+                        post_mean[rows] = m
+        return tilts[-1][-1], post_mean, tilts[0][-1] if prior else None
 
     def _score_from_mean(self, x: np.ndarray, t: float, post_mean: np.ndarray) -> np.ndarray:
         """Posterior average of per-datum scores -(x - mu_t x0) / sigma_t^2."""
@@ -291,13 +331,13 @@ class GuidedOracle:
         if t <= 0.0:
             return q0
         tq = float(clamp_time(t))
-        src = q0.centers()
         mass = q0.masses().ravel()
         out = self._reference_grid(res)
         pts = out.centers()
         vals = np.empty(len(pts))
-        for sl in node_blocks(len(pts), len(src)):
-            vals[sl] = np.exp(self._log_kernel(pts[sl], tq, src)) @ mass
+        for sl in node_blocks(len(pts), len(mass)):
+            lk = _joint_log_kernel(self._axis_log_kernels(pts[sl], tq, (q0.xs, q0.ys)))
+            vals[sl] = np.exp(lk, out=lk) @ mass
         return DensityGrid(out.x_min, out.x_max, out.y_min, out.y_max, vals.reshape(res, res)).normalized()
 
     def _reference_grid(self, res: int) -> DensityGrid:
@@ -347,16 +387,63 @@ class GuidedOracle:
         raise ValueError(f"unknown route {route!r}")
 
 
-def _reduce(lk: np.ndarray, t: float, beta: float, rows: slice, points: np.ndarray | None = None):
+# Every factored term below the smallest normal double may be lost to
+# underflow, so N such terms lose less than eps times a sum above
+# N * tiny / eps: about 6.6e-288 at 65,536 nodes.
+_UNDERFLOW_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
+
+
+def _joint_log_kernel(lks: list) -> np.ndarray:
+    """(B, N) joint log kernel from per-axis blocks, row-major with y slow."""
+    if len(lks) == 1:
+        return lks[0]
+    lkx, lky = lks
+    return (lky[:, :, None] + lkx[:, None, :]).reshape(len(lkx), -1)
+
+
+def _factored_sums(ks: list, w: np.ndarray, axes, mean: bool):
+    """Row sums S = sum_n w_n prod_a k_a[:, n_a] of the tensor-grid weights w
+    against per-axis kernel factors ks, and with mean the first moments
+    sum_n w_n K_n x0_n as a (B, d) array.
+
+    In 2D, w is the (ny, nx) weight grid: S = rowsum((ky @ w) * kx), the x
+    moment is rowsum((ky @ w) * kx * xs) and the y moment
+    rowsum(((ky * ys) @ w) * kx), so a row costs nx + ny kernel exps.  Row
+    sums are numpy reductions, never BLAS matrix-vector products: OpenBLAS's
+    gemv rounds a block's last rows by the block's length, and a result must
+    not depend on how the rows were split into blocks.
+    """
+    if len(ks) == 1:
+        (k,), (line,) = ks, axes
+        p = k * w
+        s = p.sum(axis=1)
+        if not mean:
+            return s, None
+        p *= line
+        return s, p.sum(axis=1)[:, None]
+    kx, ky = ks
+    xs, ys = axes
+    p = ky @ w
+    p *= kx
+    s = p.sum(axis=1)
+    if not mean:
+        return s, None
+    py = (ky * ys) @ w
+    py *= kx
+    p *= xs
+    return s, np.stack([p.sum(axis=1), py.sum(axis=1)], axis=1)
+
+
+def _reduce(lk: np.ndarray, t: float, beta: float, block: slice, rows: np.ndarray, points=None):
     """Row-wise log sum_n exp(lk[:, n]) and, given points, the mean of the
-    points under the row-wise softmax of lk.  lk holds query rows `rows` at
-    time t and scale beta, which a failure names."""
+    points under the row-wise softmax of lk.  lk holds query rows `rows` of
+    the row block `block` at time t and scale beta, which a failure names."""
     top = lk.max(axis=1, keepdims=True)
     if not np.all(np.isfinite(top)):
-        bad = rows.start + np.flatnonzero(~np.isfinite(top[:, 0]))
+        bad = rows[~np.isfinite(top[:, 0])]
         raise FloatingPointError(
             f"posterior weights underflowed at every node at t={t:g}, beta={beta:g} "
-            f"for {len(bad)} query rows in {rows.start}:{rows.stop} (first {bad[0]})"
+            f"for {len(bad)} query rows in {block.start}:{block.stop} (first {bad[0]})"
         )
     w = lk - top
     np.exp(w, out=w)

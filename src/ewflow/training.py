@@ -29,7 +29,7 @@ from .nn import AdamState, MlpModel, adam_step, backward, forward_cached
 from .oracle import GuidedOracle
 from .paths import T_EPS, PathSchedule, cond_velocity, perturb, velocity_from_score
 from .rng import Rng
-from .sampling import _CTX_COND, _CTX_NULL
+from .sampling import _CTX_COND, _CTX_NULL, _row_context
 
 __all__ = [
     "WeightedBatch",
@@ -151,16 +151,14 @@ def loss_cfg_pair(model: MlpModel, batch: WeightedBatch, labels: np.ndarray, sch
     n = len(batch.x0)
     target = batch.eps  # noise-prediction form, as in loss_ced
 
-    ctx_u = np.repeat(_CTX_NULL[None], n, axis=0)
-    pred_u, cache_u = forward_cached(model, batch.x_t, batch.times, context=ctx_u)
+    pred_u, cache_u = forward_cached(model, batch.x_t, batch.times, context=_row_context(_CTX_NULL, n))
     resid_u = pred_u - target
     loss_u = float((resid_u**2).sum() / n)
     grad_u = backward(model, cache_u, 2.0 * resid_u / n)
 
     mask = labels.astype(float)
     m = max(mask.sum(), 1.0)
-    ctx_c = np.repeat(_CTX_COND[None], n, axis=0)
-    pred_c, cache_c = forward_cached(model, batch.x_t, batch.times, context=ctx_c)
+    pred_c, cache_c = forward_cached(model, batch.x_t, batch.times, context=_row_context(_CTX_COND, n))
     resid_c = pred_c - target
     loss_c = float((mask * (resid_c**2).sum(axis=1)).sum() / m)
     grad_c = backward(model, cache_c, 2.0 * mask[:, None] * resid_c / m)

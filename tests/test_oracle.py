@@ -8,6 +8,7 @@ import pytest
 
 import ewflow
 from ewflow import grids
+from ewflow import oracle as oracle_mod
 from ewflow.datasets import make_dataset
 from ewflow.energies import EnergySpec, tilt_mixture
 from ewflow.mixtures import GaussianMixture, gmm_logpdf, gmm_sample, gmm_score, path_marginal
@@ -282,6 +283,102 @@ def test_underflow_names_time_beta_and_rows():
     want = r"t=0\.001, beta=1\.5 for 1 query rows in 0:3 \(first 1\)"
     with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match=want):
         orc.guided_score(x, 1e-3, route="quad")
+
+
+BENCH_ENERGY = EnergySpec.quadratic([0.25, 0.25], 1.0, center=[4.0, 0.0], classifier=True)
+FIELDS = ("guided_velocity", "intermediate_energy", "marginal_logdensity")
+
+
+def _core_points(gmm, sched, t, n, rng):
+    """n draws of p_t within 2.5 standard deviations of a component."""
+    marginal = path_marginal(gmm, sched, t)
+    x = gmm_sample(marginal, rng, 4 * n)
+    z = np.abs((x[:, None, :] - marginal.means[None]) / np.sqrt(marginal.variances[None]))
+    return x[z.max(axis=-1).min(axis=-1) <= 2.5][:n]
+
+
+def _counting_reduce(monkeypatch):
+    """Record the rows of every log-domain reduction the oracle makes."""
+    calls = []
+    reduce = oracle_mod._reduce
+
+    def counting(lk, *args, **kwargs):
+        calls.append(len(lk))
+        return reduce(lk, *args, **kwargs)
+
+    monkeypatch.setattr(oracle_mod, "_reduce", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["ot", "vp"])
+def test_factored_sums_match_log_domain_joint_reduction(monkeypatch, kind):
+    gmm = make_dataset("8gaussians")
+    sched = PathSchedule.ot() if kind == "ot" else PathSchedule.vp()
+    orc = GuidedOracle(gmm, BENCH_ENERGY, sched, grid_res=64)
+    calls = _counting_reduce(monkeypatch)
+    for i, t in enumerate((0.05, 0.35, 0.7, 0.999)):
+        core = _core_points(gmm, sched, t, 300, Rng(23 + i))
+        x = np.concatenate([core, 3.0 * core])
+        calls.clear()
+        factored = [getattr(orc, f)(x, t, route="quad") for f in FIELDS]
+        assert calls == []
+        # a floor no sum exceeds sends every row to the log-domain joint reduction
+        with monkeypatch.context() as m:
+            m.setattr(oracle_mod, "_UNDERFLOW_FLOOR", np.inf)
+            joint = [getattr(orc, f)(x, t, route="quad") for f in FIELDS]
+        assert sum(calls) > 0
+        for f, a, b in zip(FIELDS, factored, joint):
+            rel = np.abs(a - b).max() / np.abs(b).max()
+            assert rel < 1e-12, (f, t, rel)
+
+
+def test_underflowed_factored_rows_fall_back_to_log_domain(monkeypatch):
+    # No mass in |x|, |y| < 1.5: at t = 1e-3 and beta = 20 every factored term
+    # of a query row inside the square underflows, while the log-domain sum is
+    # finite (the empty cells' clamped log mass and the edge cells compete).
+    gauss = GaussianMixture.create([1.0], [[0.0, 0.0]], [[4.0, 4.0]])
+    full = grids.DensityGrid.from_mixture(gauss, 64, bounds=((-6.0, 6.0), (-6.0, 6.0)))
+    xx, yy = np.meshgrid(full.xs, full.ys)
+    empty = (np.abs(xx) < 1.5) & (np.abs(yy) < 1.5)
+    base = grids.DensityGrid(-6.0, 6.0, -6.0, 6.0, np.where(empty, 0.0, full.values)).normalized()
+    energy = EnergySpec.linear([1.0, 0.0], 20.0)
+    sched = PathSchedule.ot()
+    orc = GuidedOracle(base, energy, sched)
+    t = 1e-3
+    x = np.array([[0.0, 0.0], [0.5, -0.7], [-1.0, 1.2], [1.3, 0.1], [3.0, 2.0], [-4.0, 0.5]])
+    inside = (np.abs(x) < 1.5).all(axis=1)
+    calls = _counting_reduce(monkeypatch)
+    log_q, score = orc.guided_logdensity_and_score(x, t)
+    assert sum(calls) == inside.sum() > 0
+
+    # long-double reference: direct differences over the same node set
+    ld = np.longdouble
+    nodes = orc.nodes
+    mu, sig2 = ld(sched.mu(t)), ld(sched.sigma(t)) ** 2
+    pts, xl = nodes.points.astype(ld), x.astype(ld)
+    lk = -((xl[:, None, :] - mu * pts[None]) ** 2).sum(-1) / (2 * sig2) - np.log(2 * np.pi * sig2)
+    lk += nodes.log_mass.astype(ld) - ld(energy.beta) * nodes.energy.astype(ld)
+    top = lk.max(axis=1, keepdims=True)
+    w = np.exp(lk - top)
+    total = w.sum(axis=1)
+    want_log_q = top[:, 0] + np.log(total) - ld(nodes.log_z)
+    want_score = -(xl - mu * (w @ pts) / total[:, None]) / sig2
+    assert np.abs(log_q - want_log_q).max() < 1e-12 * np.abs(want_log_q).max()
+    assert np.abs(score - want_score).max() < 1e-12 * np.abs(want_score).max()
+
+
+def test_quadrature_matches_closed_form_when_box_covers_tails():
+    # An 8-sigma box leaves no tail mass outside the nodes, so the midpoint
+    # rule on 64^2 nodes meets the closed form to rounding.
+    gmm = make_dataset("8gaussians")
+    sched = PathSchedule.ot()
+    orc = GuidedOracle(gmm, BENCH_ENERGY, sched, grid_res=64, pad_sigmas=8.0)
+    for i, t in enumerate((0.35, 0.7)):
+        x = _core_points(gmm, sched, t, 300, Rng(27 + i))
+        for f in FIELDS:
+            quad = getattr(orc, f)(x, t, route="quad")
+            exact = getattr(orc, f)(x, t, route="analytic")
+            assert np.abs(quad - exact).max() < 1e-10, (f, t)
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")

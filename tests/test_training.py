@@ -203,13 +203,13 @@ def test_exact_marginal_and_conditional_gradients_match():
 def test_marginal_exact_losses_take_one_kernel_pass_per_time(monkeypatch):
     oracle, model = _exact_setup()
     calls = []
-    kernel = GuidedOracle._log_kernel
+    kernel = GuidedOracle._axis_log_kernels
 
     def counting(self, x, *args):
         calls.append(len(x))
         return kernel(self, x, *args)
 
-    monkeypatch.setattr(GuidedOracle, "_log_kernel", counting)
+    monkeypatch.setattr(GuidedOracle, "_axis_log_kernels", counting)
     n_nodes = oracle.grid_res**2
     t_nodes = [0.25, 0.5, 0.75]
     for fn in (loss_efm_exact, loss_ed_exact):
