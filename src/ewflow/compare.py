@@ -10,7 +10,14 @@ from __future__ import annotations
 
 import os
 
-from .config import ConfigError, build_energy, build_schedule
+from .config import (
+    ConfigError,
+    build_checked,
+    build_energy,
+    build_schedule,
+    train_config,
+    write_json,
+)
 from .datasets import make_dataset
 from .grids import grid_sample, grid_tv_distance
 from .metrics import sliced_wasserstein
@@ -18,12 +25,14 @@ from .nn import save_checkpoint
 from .oracle import GuidedOracle
 from .rng import Rng
 from .sampling import SamplerConfig, generate, write_samples_csv
-from .training import TrainConfig, train_density_model
+from .training import train_density_model
 
 __all__ = ["compare_guidance"]
 
 
 def compare_guidance(cfg: dict, out_dir: str):
+    """Writes report.json, the checkpoints and the samples into out_dir;
+    returns (report, output file names)."""
     gmm = make_dataset(cfg["dataset"])
     if gmm.dim != 2:
         raise ConfigError("guidance comparison needs a 2D dataset (TV grids are 2D)")
@@ -33,21 +42,13 @@ def compare_guidance(cfg: dict, out_dir: str):
     sched = build_schedule(cfg)
     betas = list(cfg["betas"])
     seed = cfg["seed"]
-    outputs: list[str] = []
+    n = cfg["n_samples"]
+    sampler = build_checked(SamplerConfig, kind="heun_ode", steps=15, n=n)
+    outputs = ["report.json"]
 
     def _train(loss: str, beta: float, tag: str):
-        tc = TrainConfig(
-            dataset=cfg["dataset"],
-            loss=loss,
-            sched=sched,
-            energy=energy.with_beta(beta),
-            steps=cfg["steps"],
-            batch=cfg["batch"],
-            lr=cfg["lr"],
-            seed=seed,
-            hidden=tuple(cfg["model.hidden"]),
-            embed_dim=cfg["model.embed"],
-            n_data=cfg["n_data"],
+        tc = train_config(
+            cfg, loss=loss, energy=energy.with_beta(beta),
             beta_max=max(betas) if loss == "ced_beta_input" else 10.0,
         )
         result = train_density_model(tc)
@@ -62,7 +63,6 @@ def compare_guidance(cfg: dict, out_dir: str):
         ewd_shared = _train("ced_beta_input", 1.0, "ewd_beta_input")
 
     table = []
-    n = cfg["n_samples"]
     for bi, beta in enumerate(betas):
         oracle = GuidedOracle(gmm, energy.with_beta(beta), sched)
         ref_grid = oracle.guided_q0_grid(cfg["tv_res"])
@@ -79,7 +79,7 @@ def compare_guidance(cfg: dict, out_dir: str):
             ("cfg", cfg_model, cfg_meta, beta),
         ):
             samples = generate(
-                model, meta, sched, SamplerConfig("heun_ode", 15, n),
+                model, meta, sched, sampler,
                 Rng(seed).derive(91, bi, 0 if name == "ewd" else 1),
                 guidance_beta=g,
             )
@@ -100,4 +100,5 @@ def compare_guidance(cfg: dict, out_dir: str):
         "tv_res": cfg["tv_res"],
         "table": table,
     }
+    write_json(os.path.join(out_dir, "report.json"), report)
     return report, outputs

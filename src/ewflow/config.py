@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import subprocess
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,7 @@ import numpy as np
 from .energies import EnergySpec
 from .grids import DensityGrid
 from .paths import PathSchedule
+from .training import TrainConfig
 
 __all__ = [
     "ConfigError",
@@ -28,6 +28,9 @@ __all__ = [
     "validate_config",
     "build_energy",
     "build_schedule",
+    "build_checked",
+    "train_config",
+    "write_json",
     "RunManifest",
     "write_manifest",
     "read_manifest",
@@ -234,6 +237,42 @@ def build_schedule(cfg: dict) -> PathSchedule:
     raise ConfigError(f"unknown path.kind {kind!r}")
 
 
+def build_checked(cls, **fields):
+    """cls(**fields), with a value the class rejects reported as a ConfigError."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+# flat train-config key -> TrainConfig field
+_TRAIN_FIELDS = {
+    "dataset": "dataset",
+    "loss": "loss",
+    "steps": "steps",
+    "batch": "batch",
+    "lr": "lr",
+    "seed": "seed",
+    "n_data": "n_data",
+    "beta_max": "beta_max",
+    "log_every": "log_every",
+    "oracle.res": "oracle_res",
+    "exact.t_nodes": "exact_t_nodes",
+    "model.embed": "embed_dim",
+}
+
+
+def train_config(cfg: dict, **overrides) -> TrainConfig:
+    """The TrainConfig a flat config describes.  Keyword overrides replace
+    fields; a key the config lacks (compare-guidance has no `loss` or
+    `log_every`) leaves TrainConfig's default."""
+    fields = {field: cfg[key] for key, field in _TRAIN_FIELDS.items() if key in cfg}
+    fields.update(
+        sched=build_schedule(cfg), energy=build_energy(cfg), hidden=tuple(cfg["model.hidden"])
+    )
+    return build_checked(TrainConfig, **{**fields, **overrides})
+
+
 def git_describe() -> str:
     try:
         out = subprocess.run(
@@ -263,20 +302,22 @@ def _jsonable(v):
     return v
 
 
-def write_manifest(out_dir, command: str, config: dict, seed: int, outputs: list, started: float):
+def write_json(path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_manifest(out_dir, command: str, config: dict, outputs: list, wallclock_s: float) -> None:
     manifest = RunManifest(
         command=command,
         config={k: _jsonable(v) for k, v in config.items()},
-        seed=int(seed),
+        seed=int(config["seed"]),
         git=git_describe(),
         outputs=[str(p) for p in outputs],
-        wallclock_s=time.perf_counter() - started,
+        wallclock_s=wallclock_s,
     )
-    path = f"{out_dir}/manifest.json"
-    with open(path, "w") as fh:
-        json.dump(manifest.__dict__, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    write_json(f"{out_dir}/manifest.json", manifest.__dict__)
 
 
 def read_manifest(path) -> RunManifest:

@@ -169,7 +169,7 @@ def soft_value_iteration(spec: ChainMdpSpec, beta: float, tol: float = 1e-12, ma
     for _ in range(max_iter):
         v = np.empty(spec.n_states)
         for s in range(spec.n_states):
-            w = batch_softmax(-q[s], beta)  # softmax of +beta q
+            w = support_weights(q[s], beta)
             v[s] = w @ q[s]
         q_new = np.empty_like(q)
         for s in range(spec.n_states):
@@ -260,11 +260,7 @@ def build_support_set(
 
 def support_weights(q_values: np.ndarray, beta: float) -> np.ndarray:
     """Per-state softmax of beta * Q over the support axis."""
-    q = np.asarray(q_values, dtype=float)
-    logits = beta * q
-    logits = logits - logits.max(axis=-1, keepdims=True)
-    w = np.exp(logits)
-    return w / w.sum(axis=-1, keepdims=True)
+    return batch_softmax(-np.asarray(q_values, dtype=float), beta)
 
 
 # ------------------------------------------------------------------ Q-learning
@@ -388,6 +384,13 @@ class QipoConfig:
     eval_n: int = 4000
     policy_kind: str = "score"
     divergence_factor: float = 10.0
+
+    def __post_init__(self):
+        for name in ("m_support", "k_renew", "k3", "batch", "eval_every", "eval_n", "ode_steps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.policy_kind not in ("score", "velocity"):
+            raise ValueError(f"unknown policy kind {self.policy_kind!r} (score|velocity)")
 
 
 @dataclass

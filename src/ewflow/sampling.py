@@ -39,8 +39,9 @@ class SamplerConfig:
     def __post_init__(self):
         if self.kind not in ("euler_ode", "heun_ode", "ancestral"):
             raise ValueError(f"unknown sampler kind {self.kind!r}")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        for name in ("steps", "n"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def sample_ode(

@@ -56,14 +56,15 @@ _VELOCITY_LOSSES = {"cfm", "cefm", "efm_exact"}
 
 
 def batch_softmax(energies: np.ndarray, beta: float) -> np.ndarray:
-    """softmax(-beta * E) over the batch; invariant to shifting E by a constant."""
+    """softmax(-beta * E) over the last axis (the batch); invariant to shifting
+    E by a constant."""
     e = np.asarray(energies, dtype=float)
     if not np.all(np.isfinite(e)):
         raise ValueError("energies must be finite")
     logits = -beta * e
-    logits = logits - logits.max()
+    logits = logits - logits.max(axis=-1, keepdims=True)
     w = np.exp(logits)
-    return w / w.sum()
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 @dataclass
@@ -302,6 +303,9 @@ class TrainConfig:
             raise ValueError(f"loss {self.loss!r} requires an energy specification")
         if self.loss == "cfg" and not self.energy.classifier:
             raise ValueError("classifier-pair training requires a classifier energy")
+        for name in ("steps", "log_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from ewflow.cli import main, replay_manifest
+from ewflow.cli import COMMANDS, main, replay_manifest
 from ewflow.sampling import read_samples_csv
 
 FAST_TRAIN = """
@@ -162,3 +162,79 @@ def test_qipo_rerun_is_byte_identical(tmp_path):
     assert result.exit_code == 0, result.output
     for name in ("report.json", "log.csv", "checkpoint.bin"):
         assert (out / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "command, key", [("qipo", "k3"), ("qipo", "k_renew"), ("train", "steps"), ("sample", "steps")]
+)
+def test_out_of_range_value_exits_2_and_writes_nothing(trained, command, key):
+    root, _, out = trained
+    dest = root / f"range_{command}_{key}"
+    if command == "sample":
+        args = ["--checkpoint", str(out / "checkpoint.bin"), f"--{key}", "0"]
+    else:
+        text = TINY_QIPO if command == "qipo" else FAST_TRAIN
+        kept = [line for line in text.splitlines() if not line.startswith(f"{key} =")]
+        cfg = root / f"range_{command}_{key}.cfg"
+        cfg.write_text("\n".join(kept + [f"{key} = 0"]) + "\n")
+        args = ["--config", str(cfg)]
+    result = CliRunner().invoke(main, [command, *args, "--out", str(dest)])
+    assert result.exit_code == 2, result.output
+    assert f"{key} must be >= 1, got 0" in result.output
+    assert not dest.exists() or not any(dest.iterdir())
+
+
+TINY_COMPARE = """
+dataset = bimodal2d
+betas = 1.0, 2.0
+steps = 150
+batch = 64
+lr = 1e-3
+seed = 9
+n_data = 4096
+n_samples = 500
+tv_res = 32
+energy.kind = quadratic
+energy.diag = 0.25, 0.25
+energy.center = 2.0, 0.0
+energy.classifier = true
+path.kind = vp
+model.hidden = 16
+model.embed = 8
+"""
+
+
+def test_compare_guidance_rerun_is_byte_identical(tmp_path):
+    cfg = tmp_path / "cmp.cfg"
+    cfg.write_text(TINY_COMPARE)
+    out = tmp_path / "c1"
+    result = CliRunner().invoke(main, ["compare-guidance", "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert outputs[0] == "report.json"
+    assert {n.split("_")[0] for n in outputs[1:]} == {"checkpoint", "samples"}
+    out2 = tmp_path / "c2"
+    result = CliRunner().invoke(
+        main, ["rerun", "--manifest", str(out / "manifest.json"), "--out", str(out2)]
+    )
+    assert result.exit_code == 0, result.output
+    assert result.output.splitlines() == [str(out2 / name) for name in outputs]
+    for name in outputs:
+        assert (out / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_rerun_of_unknown_command_exits_2(tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "command": "bogus", "config": {"seed": 0}, "seed": 0, "git": "unknown",
+        "outputs": [], "wallclock_s": 0.0,
+    }))
+    result = CliRunner().invoke(
+        main, ["rerun", "--manifest", str(manifest), "--out", str(tmp_path / "r")]
+    )
+    assert result.exit_code == 2
+    assert "'bogus' is not replayable" in result.output
+
+
+def test_every_artifact_command_is_in_the_table():
+    assert set(main.commands) - {"selftest", "rerun"} == set(COMMANDS)

@@ -210,3 +210,11 @@ def test_qipo_divergence_detector():
     cfg = QipoConfig(beta=1.0, m_support=4, k3=2, batch=64, divergence_factor=1e-6)
     with pytest.raises(RuntimeError, match="diverged"):
         qipo_iterate(policy, spec.q_values, ds, SCHED, cfg, Rng(34), spec=spec)
+
+
+def test_qipo_config_validation():
+    for field in ("m_support", "k_renew", "k3", "batch", "eval_every", "eval_n", "ode_steps"):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1, got 0"):
+            QipoConfig(**{field: 0})
+    with pytest.raises(ValueError, match="policy kind"):
+        QipoConfig(policy_kind="energy")

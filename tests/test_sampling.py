@@ -191,6 +191,8 @@ def test_sampler_config_validation():
         SamplerConfig(kind="rk45")
     with pytest.raises(ValueError):
         SamplerConfig(steps=0)
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        SamplerConfig(n=0)
 
 
 def test_samples_csv_round_trip(tmp_path):

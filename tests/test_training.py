@@ -285,3 +285,6 @@ def test_train_config_validation():
             sched=PathSchedule.ot(),
             energy=EnergySpec.linear([1.0], 1.0),
         )
+    for field in ("steps", "log_every"):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1, got 0"):
+            TrainConfig(dataset="gauss1d", loss="cfm", sched=PathSchedule.ot(), **{field: 0})
