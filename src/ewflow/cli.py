@@ -93,8 +93,10 @@ def run_sample(cfg: dict, out_dir: str):
     sampler = build_checked(SamplerConfig, kind=kind, steps=cfg["steps"], n=cfg["n"])
     model, meta = load_checkpoint(cfg["checkpoint"])
     sched = build_schedule(meta.get("path", {}))
-    samples = generate(
-        model, meta, sched, sampler, Rng(cfg["seed"]), guidance_beta=cfg["guidance_beta"]
+    # generate refuses a flag the checkpoint cannot take (ValueError) before it samples
+    samples = build_checked(
+        generate, model=model, meta=meta, sched=sched, cfg=sampler, rng=Rng(cfg["seed"]),
+        guidance_beta=cfg["guidance_beta"],
     )
     sample_meta = {k: cfg[k] for k in ("sampler", "steps", "seed", "n", "guidance_beta")}
     sample_meta["checkpoint_sha256"] = file_sha256(cfg["checkpoint"])
@@ -103,6 +105,9 @@ def run_sample(cfg: dict, out_dir: str):
 
 
 def run_eval(cfg: dict, out_dir: str):
+    for key in ("n_ref", "tv_res"):
+        if cfg[key] < 1:
+            raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
     samples, _ = read_samples_csv(cfg["samples"])
     gmm = make_dataset(cfg["dataset"])
     energy = build_energy(cfg)

@@ -238,7 +238,8 @@ def build_schedule(cfg: dict) -> PathSchedule:
 
 
 def build_checked(cls, **fields):
-    """cls(**fields), with a value the class rejects reported as a ConfigError."""
+    """cls(**fields) for a class or a function, with a value it rejects
+    (a ValueError) reported as a ConfigError."""
     try:
         return cls(**fields)
     except ValueError as exc:

@@ -19,10 +19,10 @@ import numpy as np
 
 from .metrics import sliced_wasserstein
 from .nn import AdamState, MlpModel, adam_step, backward, forward, forward_cached, soft_update
-from .paths import T_EPS, PathSchedule, cond_velocity, perturb
+from .paths import T_EPS, PathSchedule, perturb
 from .rng import Rng
 from .sampling import model_velocity_fn, sample_ode
-from .training import _weighted_field_loss, batch_softmax
+from .training import WeightedBatch, batch_softmax, build_weighted_batch, loss_ced, loss_cefm
 
 __all__ = [
     "OfflineDataset",
@@ -185,10 +185,9 @@ def soft_value_iteration(spec: ChainMdpSpec, beta: float, tol: float = 1e-12, ma
 # ------------------------------------------------------------------ policies
 
 
-def _policy_loss(model, kind, sched, a_t, t, eps, actions, states, weights):
-    """Conditional matching of a | x: noise target for score policies, velocity for flow."""
-    target = eps if kind == "score" else cond_velocity(sched, a_t, actions, t)
-    return _weighted_field_loss(model, a_t, target, weights, t, context=states)
+# Conditional matching of a | x by policy kind: the noise target for a score
+# policy, the conditional velocity for a velocity policy.
+_POLICY_LOSS = {"score": loss_ced, "velocity": loss_cefm}
 
 
 def behavior_pretrain(
@@ -203,7 +202,7 @@ def behavior_pretrain(
     lr: float = 5e-4,
 ) -> MlpModel:
     """Unweighted conditional matching of the behavior policy a | x."""
-    if kind not in ("score", "velocity"):
+    if kind not in _POLICY_LOSS:
         raise ValueError("policy kind must be 'score' or 'velocity'")
     model = MlpModel.init(
         dataset.action_dim, dataset.action_dim, rng.derive(0),
@@ -211,14 +210,9 @@ def behavior_pretrain(
     )
     adam = AdamState.for_model(model, lr=lr)
     srng = rng.derive(1)
-    uniform = np.full(batch, 1.0 / batch)
     for _ in range(steps):
-        idx = srng.integers(0, len(dataset), batch)
-        actions = dataset.actions[idx]
-        states = dataset.states[idx]
-        t = srng.uniform(T_EPS, 1.0 - T_EPS, batch)
-        a_t, eps = perturb(sched, actions, t, srng)
-        _, grad = _policy_loss(model, kind, sched, a_t, t, eps, actions, states, uniform)
+        b = build_weighted_batch(dataset.actions, None, sched, srng, batch)
+        _, grad = _POLICY_LOSS[kind](model, b, sched, context=dataset.states[b.idx])
         adam_step(adam, model, grad)
     return model
 
@@ -389,7 +383,7 @@ class QipoConfig:
         for name in ("m_support", "k_renew", "k3", "batch", "eval_every", "eval_n", "ode_steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.policy_kind not in ("score", "velocity"):
+        if self.policy_kind not in _POLICY_LOSS:
             raise ValueError(f"unknown policy kind {self.policy_kind!r} (score|velocity)")
 
 
@@ -462,10 +456,8 @@ def qipo_iterate(
             flat_s = np.repeat(states, m1, axis=0)
             t = epoch_rng.uniform(T_EPS, 1.0 - T_EPS, bsz * m1)
             a_t, eps = perturb(sched, flat_a, t, epoch_rng)
-            _, grad = _policy_loss(
-                policy, cfg.policy_kind, sched, a_t, t, eps, flat_a, flat_s,
-                g.ravel() / bsz,
-            )
+            fit_batch = WeightedBatch(flat_a, g.ravel() / bsz, t, eps, a_t)
+            _, grad = _POLICY_LOSS[cfg.policy_kind](policy, fit_batch, sched, context=flat_s)
             adam_step(adam, policy, grad)
             soft_update(policy_target, policy, cfg.lambda_soft)
         if k % cfg.eval_every == 0 or k == cfg.k3:

@@ -148,6 +148,7 @@ def model_score_fn(
     A context is either one (d,) vector for every row of x or an (n, d)
     array with one row per row of x.  The callable keeps one forward
     workspace, which every network evaluation of a sampling call reuses.
+    A guidance beta is refused for a plain score model, which takes none.
     """
     kind = meta.get("model_kind", "score")
     ws = {}
@@ -174,6 +175,8 @@ def model_score_fn(
             return -forward(model, x, t, beta_norm=bn, workspace=ws) / float(sched.sigma(t))
 
         return fn
+    if guidance_beta is not None:
+        raise ValueError("a plain score checkpoint takes no guidance beta")
 
     def fn(x, t):
         ctx = _row_context(context, len(x))
@@ -191,10 +194,12 @@ def model_velocity_fn(
 ):
     """Velocity callable (x, t) -> v; score-style models are converted pointwise.
 
-    The context and the workspace are as in model_score_fn.
+    The context, the workspace and the guidance beta are as in model_score_fn.
     """
     kind = meta.get("model_kind", "velocity")
     if kind == "velocity":
+        if guidance_beta is not None:
+            raise ValueError("a plain velocity checkpoint takes no guidance beta")
         ws = {}
 
         def fn(x, t):

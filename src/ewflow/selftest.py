@@ -102,10 +102,9 @@ def _check_nn_gradients():
     return worst < 1e-4, f"max relative gradient error {worst:.2e} over 20 probes"
 
 
-def _gradient_equality(flow: bool, oracle, model, t_nodes):
-    form = "flow" if flow else "score"
-    fa = _marginal_exact(model, oracle, t_nodes, form)[1]
-    fb = _conditional_exact(model, oracle, t_nodes, form)[1]
+def _gradient_equality(kind: str, oracle, model, t_nodes):
+    fa = _marginal_exact(model, oracle, t_nodes, kind)[1]
+    fb = _conditional_exact(model, oracle, t_nodes, kind)[1]
     rel = float(np.linalg.norm(fa - fb) / max(np.linalg.norm(fa), 1e-300))
     return rel
 
@@ -116,8 +115,8 @@ def _check_gradient_equality():
     energy = EnergySpec.quadratic([0.25, 0.25], beta=1.0, center=[4.0, 0.0], classifier=True)
     oracle = GuidedOracle(gmm, energy, PathSchedule.ot(), grid_res=32)
     model = MlpModel.init(2, 2, rng, hidden=(16,), embed_dim=8)
-    rel_flow = _gradient_equality(True, oracle, model, [0.5])
-    rel_score = _gradient_equality(False, oracle, model, [0.5])
+    rel_flow = _gradient_equality("velocity", oracle, model, [0.5])
+    rel_score = _gradient_equality("score", oracle, model, [0.5])
     ok = rel_flow < 1e-5 and rel_score < 1e-5
     return ok, f"relative gradient gap: flow {rel_flow:.2e}, score {rel_score:.2e}"
 

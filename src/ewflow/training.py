@@ -17,7 +17,7 @@ weight is numerically intractable near the data end where the target
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,9 +50,13 @@ __all__ = [
     "train_density_model",
 ]
 
-LOSS_KINDS = ("cfm", "cefm", "ced", "cfg", "ced_beta_input", "efm_exact", "ed_exact")
-
-_VELOCITY_LOSSES = {"cfm", "cefm", "efm_exact"}
+# loss -> what the network emits: a velocity, a noise prediction ("score"), or
+# the noise predictions of a null-token and a class-token head ("cfg_pair").
+_MODEL_KIND = {
+    "cfm": "velocity", "cefm": "velocity", "ced": "score", "cfg": "cfg_pair",
+    "ced_beta_input": "score", "efm_exact": "velocity", "ed_exact": "score",
+}
+LOSS_KINDS = tuple(_MODEL_KIND)
 
 
 def batch_softmax(energies: np.ndarray, beta: float) -> np.ndarray:
@@ -70,11 +74,11 @@ def batch_softmax(energies: np.ndarray, beta: float) -> np.ndarray:
 @dataclass
 class WeightedBatch:
     x0: np.ndarray
-    energies: np.ndarray
     weights: np.ndarray
     times: np.ndarray
     eps: np.ndarray
     x_t: np.ndarray
+    idx: np.ndarray | None = None  # the data rows drawn; None for a batch built by hand
 
 
 def build_weighted_batch(
@@ -100,7 +104,7 @@ def build_weighted_batch(
     g = batch_softmax(e, b)
     t = rng.uniform(T_EPS, 1.0 - T_EPS, batch_size)
     x_t, eps = perturb(sched, x0, t, rng)
-    return WeightedBatch(x0, e, g, t, eps, x_t)
+    return WeightedBatch(x0, g, t, eps, x_t, idx)
 
 
 def _weighted_field_loss(model: MlpModel, inputs, targets, weights, t, context=None, beta_norm=None):
@@ -118,20 +122,20 @@ def loss_cfm(model: MlpModel, batch: WeightedBatch, sched: PathSchedule):
     return _weighted_field_loss(model, batch.x_t, target, uniform, batch.times)
 
 
-def loss_cefm(model: MlpModel, batch: WeightedBatch, sched: PathSchedule):
+def loss_cefm(model: MlpModel, batch: WeightedBatch, sched: PathSchedule, context=None):
     """Energy-weighted conditional flow matching: weights on per-datum velocities."""
     target = cond_velocity(sched, batch.x_t, batch.x0, batch.times)
-    return _weighted_field_loss(model, batch.x_t, target, batch.weights, batch.times)
+    return _weighted_field_loss(model, batch.x_t, target, batch.weights, batch.times, context)
 
 
-def loss_ced(model: MlpModel, batch: WeightedBatch, sched: PathSchedule, beta_norm=None):
+def loss_ced(model: MlpModel, batch: WeightedBatch, sched: PathSchedule, beta_norm=None, context=None):
     """Energy-weighted denoising score matching in noise-prediction form.
 
     Per sample this is sigma_t^2 * g_i * ||s_theta(x_t) + eps/sigma_t||^2 with
     s_theta = -n_theta / sigma_t, i.e. g_i * ||n_theta(x_t) - eps||^2.
     """
     return _weighted_field_loss(
-        model, batch.x_t, batch.eps, batch.weights, batch.times, beta_norm=beta_norm
+        model, batch.x_t, batch.eps, batch.weights, batch.times, context, beta_norm
     )
 
 
@@ -142,27 +146,24 @@ def make_classifier_labels(data: np.ndarray, energy: EnergySpec, rng: Rng) -> np
 
 
 def loss_cfg_pair(model: MlpModel, batch: WeightedBatch, labels: np.ndarray, sched: PathSchedule):
-    """Denoising losses for the null-token and class-token passes of one network.
+    """loss_ced for the null-token and class-token passes of one network.
 
-    The unconditional term sees every sample; the conditional term only the
-    label-1 subset.  Returns (loss_uncond, loss_cond, flat gradient).
+    The unconditional term weights every sample 1/n, whatever batch.weights
+    holds; the conditional term weights the label-1 subset uniformly.
+    Returns (loss_uncond, loss_cond, flat gradient).
     """
     if model.context_dim != 2:
         raise ValueError("classifier-pair training expects context_dim=2 (null/class tokens)")
     n = len(batch.x0)
-    target = batch.eps  # noise-prediction form, as in loss_ced
-
-    pred_u, cache_u = forward_cached(model, batch.x_t, batch.times, context=_row_context(_CTX_NULL, n))
-    resid_u = pred_u - target
-    loss_u = float((resid_u**2).sum() / n)
-    grad_u = backward(model, cache_u, 2.0 * resid_u / n)
-
     mask = labels.astype(float)
-    m = max(mask.sum(), 1.0)
-    pred_c, cache_c = forward_cached(model, batch.x_t, batch.times, context=_row_context(_CTX_COND, n))
-    resid_c = pred_c - target
-    loss_c = float((mask * (resid_c**2).sum(axis=1)).sum() / m)
-    grad_c = backward(model, cache_c, 2.0 * mask[:, None] * resid_c / m)
+    loss_u, grad_u = loss_ced(
+        model, replace(batch, weights=np.full(n, 1.0 / n)), sched,
+        context=_row_context(_CTX_NULL, n),
+    )
+    loss_c, grad_c = loss_ced(
+        model, replace(batch, weights=mask / max(mask.sum(), 1.0)), sched,
+        context=_row_context(_CTX_COND, n),
+    )
     return loss_u, loss_c, grad_u + grad_c
 
 
@@ -174,8 +175,8 @@ def loss_cfg_pair(model: MlpModel, batch: WeightedBatch, labels: np.ndarray, sch
 # ---------------------------------------------------------------------------
 
 
-def _marginal_exact(model: MlpModel, oracle: GuidedOracle, t_nodes, form: str):
-    """Marginal-form loss on the node set; form "flow" or "score" picks the target.
+def _marginal_exact(model: MlpModel, oracle: GuidedOracle, t_nodes, kind: str):
+    """Marginal-form loss on the node set; kind "velocity" or "score" picks the target.
 
     Weights q_t(x_n) dx and the guided score come from one quadrature pass per
     time node.  q_t is normalized by the node set's own log Z, not the closed
@@ -187,7 +188,7 @@ def _marginal_exact(model: MlpModel, oracle: GuidedOracle, t_nodes, form: str):
     for t in t_nodes:
         log_q, score = oracle.guided_logdensity_and_score(nodes.points, t)
         w = np.exp(log_q) * nodes.cell_area / len(t_nodes)
-        if form == "flow":
+        if kind == "velocity":
             target = velocity_from_score(oracle.sched, nodes.points, score, t)
         else:
             target = -float(oracle.sched.sigma(t)) * score
@@ -205,7 +206,7 @@ def _per_layer(model: MlpModel, loss_and_grad):
 
 def loss_efm_exact(model: MlpModel, oracle: GuidedOracle, t_nodes):
     """Marginal-form flow loss: weighted squared error against the guided field."""
-    return _per_layer(model, _marginal_exact(model, oracle, t_nodes, "flow"))
+    return _per_layer(model, _marginal_exact(model, oracle, t_nodes, "velocity"))
 
 
 def loss_ed_exact(model: MlpModel, oracle: GuidedOracle, t_nodes):
@@ -218,7 +219,7 @@ def loss_ed_exact(model: MlpModel, oracle: GuidedOracle, t_nodes):
     return _per_layer(model, _marginal_exact(model, oracle, t_nodes, "score"))
 
 
-def _conditional_exact(model: MlpModel, oracle: GuidedOracle, t_nodes, form: str):
+def _conditional_exact(model: MlpModel, oracle: GuidedOracle, t_nodes, kind: str):
     """Double-quadrature conditional loss over (x0 nodes) x (x probes).
 
     Per-datum targets are affine in x0, so node sums reduce to zeroth, first,
@@ -246,7 +247,7 @@ def _conditional_exact(model: MlpModel, oracle: GuidedOracle, t_nodes, form: str
             s0[sl] = r.sum(axis=1)
             s1[sl] = r @ nodes
             s2[sl] = r @ sq_norm
-        if form == "flow":
+        if kind == "velocity":
             # u(x|x0) = (a - c/sig2) x + (c mu / sig2) x0
             px = (a_coef - c_coef / sig2) * nodes
             k = c_coef * mu / sig2
@@ -268,7 +269,7 @@ def _conditional_exact(model: MlpModel, oracle: GuidedOracle, t_nodes, form: str
 
 
 def loss_cefm_exact(model: MlpModel, oracle: GuidedOracle, t_nodes):
-    return _per_layer(model, _conditional_exact(model, oracle, t_nodes, "flow"))
+    return _per_layer(model, _conditional_exact(model, oracle, t_nodes, "velocity"))
 
 
 def loss_ced_exact(model: MlpModel, oracle: GuidedOracle, t_nodes):
@@ -316,18 +317,12 @@ class TrainResult:
     gmm: GaussianMixture
 
 
-def _model_kind(loss: str) -> str:
-    if loss == "cfg":
-        return "cfg_pair"
-    return "velocity" if loss in _VELOCITY_LOSSES else "score"
-
-
 def train_density_model(cfg: TrainConfig) -> TrainResult:
     """Run the configured objective; deterministic given the seed."""
     rng = Rng(cfg.seed)
     gmm = make_dataset(cfg.dataset)
     dim = gmm.dim
-    kind = _model_kind(cfg.loss)
+    kind = _MODEL_KIND[cfg.loss]
 
     model = MlpModel.init(
         dim,
@@ -335,7 +330,7 @@ def train_density_model(cfg: TrainConfig) -> TrainResult:
         rng.derive(1),
         hidden=cfg.hidden,
         embed_dim=cfg.embed_dim,
-        context_dim=2 if cfg.loss == "cfg" else 0,
+        context_dim=2 if kind == "cfg_pair" else 0,
         accepts_beta=cfg.loss == "ced_beta_input",
     )
     adam = AdamState.for_model(model, lr=cfg.lr)
@@ -347,40 +342,30 @@ def train_density_model(cfg: TrainConfig) -> TrainResult:
         t_nodes = np.linspace(T_EPS, 1.0 - T_EPS, cfg.exact_t_nodes + 2)[1:-1]
     else:
         data = gmm_sample(gmm, rng.derive(0), cfg.n_data)
-        if cfg.loss == "cfg":
+        if kind == "cfg_pair":
             labels = make_classifier_labels(data, cfg.energy, rng.derive(3))
 
     batch_rng = rng.derive(2)
     rows = []
     start = time.perf_counter()
     for step in range(1, cfg.steps + 1):
-        if cfg.loss in ("efm_exact", "ed_exact"):
-            form = "flow" if cfg.loss == "efm_exact" else "score"
-            loss, grad = _marginal_exact(model, oracle, t_nodes, form)
-        elif cfg.loss == "ced_beta_input":
-            beta = float(batch_rng.uniform(0.0, cfg.beta_max))
-            batch = build_weighted_batch(
-                data, cfg.energy, cfg.sched, batch_rng, cfg.batch, beta=beta
-            )
-            loss, grad = loss_ced(model, batch, cfg.sched, beta_norm=beta / cfg.beta_max)
-        elif cfg.loss == "cfg":
-            idx = batch_rng.integers(0, len(data), cfg.batch)
-            x0 = data[idx]
-            t = batch_rng.uniform(T_EPS, 1.0 - T_EPS, cfg.batch)
-            x_t, eps = perturb(cfg.sched, x0, t, batch_rng)
-            batch = WeightedBatch(
-                x0, np.zeros(cfg.batch), np.full(cfg.batch, 1.0 / cfg.batch), t, eps, x_t
-            )
-            lu, lc, grad = loss_cfg_pair(model, batch, labels[idx], cfg.sched)
-            loss = lu + lc
+        if oracle is not None:
+            loss, grad = _marginal_exact(model, oracle, t_nodes, kind)
         else:
-            batch = build_weighted_batch(data, cfg.energy, cfg.sched, batch_rng, cfg.batch)
-            if cfg.loss == "cfm":
+            # a beta-conditioned model draws its beta before the batch
+            beta = float(batch_rng.uniform(0.0, cfg.beta_max)) if model.accepts_beta else None
+            energy = None if kind == "cfg_pair" else cfg.energy
+            batch = build_weighted_batch(data, energy, cfg.sched, batch_rng, cfg.batch, beta=beta)
+            if kind == "cfg_pair":
+                lu, lc, grad = loss_cfg_pair(model, batch, labels[batch.idx], cfg.sched)
+                loss = lu + lc
+            elif cfg.loss == "cfm":
                 loss, grad = loss_cfm(model, batch, cfg.sched)
-            elif cfg.loss == "cefm":
+            elif kind == "velocity":
                 loss, grad = loss_cefm(model, batch, cfg.sched)
             else:
-                loss, grad = loss_ced(model, batch, cfg.sched)
+                beta_norm = None if beta is None else beta / cfg.beta_max
+                loss, grad = loss_ced(model, batch, cfg.sched, beta_norm=beta_norm)
         adam_step(adam, model, grad)
         if step % cfg.log_every == 0 or step == cfg.steps:
             rows.append((step, loss, (time.perf_counter() - start) * 1000.0))

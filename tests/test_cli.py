@@ -5,7 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from ewflow.cli import COMMANDS, main, replay_manifest
-from ewflow.sampling import read_samples_csv
+from ewflow.sampling import read_samples_csv, write_samples_csv
 
 FAST_TRAIN = """
 dataset = gauss1d
@@ -165,7 +165,11 @@ def test_qipo_rerun_is_byte_identical(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, key", [("qipo", "k3"), ("qipo", "k_renew"), ("train", "steps"), ("sample", "steps")]
+    "command, key",
+    [
+        ("qipo", "k3"), ("qipo", "k_renew"), ("train", "steps"), ("sample", "steps"),
+        ("eval", "n_ref"), ("eval", "tv_res"),
+    ],
 )
 def test_out_of_range_value_exits_2_and_writes_nothing(trained, command, key):
     root, _, out = trained
@@ -173,14 +177,31 @@ def test_out_of_range_value_exits_2_and_writes_nothing(trained, command, key):
     if command == "sample":
         args = ["--checkpoint", str(out / "checkpoint.bin"), f"--{key}", "0"]
     else:
-        text = TINY_QIPO if command == "qipo" else FAST_TRAIN
+        text = {"qipo": TINY_QIPO, "train": FAST_TRAIN, "eval": "dataset = gauss1d"}[command]
         kept = [line for line in text.splitlines() if not line.startswith(f"{key} =")]
         cfg = root / f"range_{command}_{key}.cfg"
         cfg.write_text("\n".join(kept + [f"{key} = 0"]) + "\n")
         args = ["--config", str(cfg)]
+        if command == "eval":
+            samples = root / "range_samples.csv"
+            write_samples_csv(samples, np.zeros((4, 1)), {})
+            args += ["--samples", str(samples)]
     result = CliRunner().invoke(main, [command, *args, "--out", str(dest)])
     assert result.exit_code == 2, result.output
     assert f"{key} must be >= 1, got 0" in result.output
+    assert not dest.exists() or not any(dest.iterdir())
+
+
+def test_guidance_beta_for_plain_checkpoint_exits_2_and_writes_nothing(trained):
+    root, _, out = trained  # a plain ced (score) checkpoint
+    dest = root / "beta_on_plain"
+    result = CliRunner().invoke(
+        main,
+        ["sample", "--checkpoint", str(out / "checkpoint.bin"), "--guidance-beta", "2.0",
+         "--out", str(dest)],
+    )
+    assert result.exit_code == 2, result.output
+    assert "takes no guidance beta" in result.output
     assert not dest.exists() or not any(dest.iterdir())
 
 

@@ -9,9 +9,14 @@ top-level class, defined under src/ whose name no module under src/, tests/
 or bench/ mentions: as a loaded name, an attribute, or a string that is
 exactly the name (bench/ looks functions up by name).  Strings in __all__ do
 not count.  Dunders and click commands are exempt.
+
+A third check installs the benchmark's tracer, which wraps package functions
+by module and name, and fails if any of those names is gone.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -96,3 +101,15 @@ def test_every_source_definition_is_named_somewhere():
         and node.name not in mentioned
     ]
     assert not unnamed, "definitions nothing names: " + ", ".join(unnamed)
+
+
+def test_bench_tracer_finds_every_traced_name():
+    # bench/worker.py wraps package functions by module attribute; a name it
+    # wraps that a module no longer binds breaks `bench/run.py --trace 1`.
+    # A subprocess keeps the wrappers out of this test session.
+    probe = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'bench')!r}); "
+        "import tracing, worker; worker.install_tracer(tracing.Tracer())"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr

@@ -168,6 +168,10 @@ def test_model_fn_validation():
         model_score_fn(beta_model, {"model_kind": "score"}, sched, guidance_beta=1.0)
     with pytest.raises(ValueError, match="guidance beta"):
         model_score_fn(beta_model, {"model_kind": "score", "beta_max": 5.0}, sched)
+    with pytest.raises(ValueError, match="plain score checkpoint takes no guidance beta"):
+        model_score_fn(vel_model, {"model_kind": "score"}, sched, guidance_beta=1.0)
+    with pytest.raises(ValueError, match="plain velocity checkpoint takes no guidance beta"):
+        model_velocity_fn(vel_model, {"model_kind": "velocity"}, sched, guidance_beta=1.0)
 
 
 def test_model_velocity_fn_per_row_and_shared_context():

@@ -66,8 +66,10 @@ def _setup_batch(beta=1.0, n=64, seed=3):
 
 
 def test_build_weighted_batch_contract():
-    _, _, sched, batch = _setup_batch()
+    gmm, _, sched, batch = _setup_batch()
     assert abs(batch.weights.sum() - 1.0) < 1e-9
+    # idx names the pool rows the batch drew (_setup_batch's pool, seed 3)
+    assert np.array_equal(gmm_sample(gmm, Rng(3), 4096)[batch.idx], batch.x0)
     # x_t is exactly mu x0 + sigma eps for the returned eps
     mu = np.asarray(sched.mu(batch.times))[:, None]
     sig = np.asarray(sched.sigma(batch.times))[:, None]
@@ -91,7 +93,6 @@ def test_loss_cefm_zero_at_exact_target():
     n = 8
     batch = WeightedBatch(
         x0=np.zeros((n, 1)),
-        energies=np.zeros(n),
         weights=np.full(n, 1 / n),
         times=np.linspace(0.2, 0.8, n),
         eps=np.zeros((n, 1)),
@@ -166,6 +167,22 @@ def test_cfg_pair_all_labels_one_when_energy_zero():
     lu, lc, _ = loss_cfg_pair(model, batch, labels[:32], sched)
     # with zero parameters both heads predict 0 and see identical targets
     assert lu == pytest.approx(lc, rel=1e-12)
+
+
+def test_cfg_pair_heads_ignore_the_energy_weights():
+    # beta > 0, so batch.weights are not uniform; the null head must still take
+    # the plain row mean and the class head the mean over label-1 rows
+    _, _, sched, batch = _setup_batch(beta=2.0, n=32)
+    assert np.ptp(batch.weights) > 1e-3
+    labels = (Rng(20).uniform(size=32) < 0.4).astype(np.int64)
+    model = MlpModel.init(1, 1, Rng(21), hidden=(8,), embed_dim=4, context_dim=2)
+    lu, lc, _ = loss_cfg_pair(model, batch, labels, sched)
+    sq = {}
+    for head, token in (("null", [1.0, 0.0]), ("class", [0.0, 1.0])):
+        pred = forward(model, batch.x_t, batch.times, context=np.tile(token, (32, 1)))
+        sq[head] = ((pred - batch.eps) ** 2).sum(axis=1)
+    assert lu == pytest.approx(sq["null"].mean(), rel=1e-12)
+    assert lc == pytest.approx(sq["class"][labels == 1].mean(), rel=1e-12)
 
 
 def test_cfg_pair_requires_two_token_context():
