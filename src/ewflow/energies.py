@@ -117,9 +117,6 @@ class EnergySpec:
     def with_beta(self, beta: float) -> "EnergySpec":
         return replace(self, beta=float(beta))
 
-    def with_shift(self, extra_shift: float) -> "EnergySpec":
-        return replace(self, shift=self.shift + float(extra_shift))
-
     def has_closed_tilt(self) -> bool:
         return self.kind in ("linear", "quadratic")
 

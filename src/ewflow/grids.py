@@ -106,13 +106,12 @@ class DensityGrid:
 
     @staticmethod
     def from_mixture(
-        gmm: GaussianMixture, resolution: int = 256, pad_sigmas: float = 4.0, bounds=None
+        gmm: GaussianMixture, resolution: int = 256, pad_sigmas: float = 4.0
     ) -> "DensityGrid":
         """Grid over the mixture's bounding box expanded by pad_sigmas * max stddev."""
         if gmm.dim != 2:
             raise ValueError("density grids are 2D only")
-        if bounds is None:
-            bounds = mixture_bounds(gmm, pad_sigmas)
+        bounds = mixture_bounds(gmm, pad_sigmas)
         return DensityGrid.from_fn(lambda p: gmm_density(gmm, p), bounds, resolution)
 
     def save(self, path) -> None:

@@ -60,8 +60,8 @@ class GuidedOracle:
 
     base may be a GaussianMixture or a normalized DensityGrid.  The
     quadrature route uses the node set `nodes`, built on first use (a
-    DensityGrid base supplies its own cells).  Computed q_t grids are cached
-    per time.
+    DensityGrid base supplies its own cells).  The one density grid it
+    gives is the guided target q_0 (guided_q0_grid).
     """
 
     def __init__(
@@ -77,7 +77,6 @@ class GuidedOracle:
         self.sched = sched
         self.grid_res = grid_res
         self.pad_sigmas = pad_sigmas
-        self._qt_cache: dict[tuple[float, float], DensityGrid] = {}
 
         if isinstance(base, GaussianMixture):
             self.analytic = energy.has_closed_tilt()
@@ -280,69 +279,34 @@ class GuidedOracle:
     # ------------------------------------------------------------------ grids
 
     def guided_q0_grid(self, resolution: int | None = None) -> DensityGrid:
-        return self.guided_qt_grid(0.0, resolution=resolution)
+        """Normalized grid of the guided target q_0 = p0 exp(-beta E) / Z.
 
-    def guided_qt_grid(
-        self, t: float, resolution: int | None = None, route: str = "auto"
-    ) -> DensityGrid:
-        """Normalized grid of q_t; t <= 0 means the data-end distribution q_0.
-
-        route "convolve" pushes the q_0 node masses through the path kernel
-        instead of using q_t = p_t exp(-E_t) / Z; the two must agree.
+        The analytic route evaluates the tilted mixture at the cell centers
+        of `bounds`.  The quadrature route reads the node weights
+        m_n exp(-beta E_n) / Z per cell area off the node set at that
+        resolution, normalized by the node set's own log Z as
+        guided_logdensity is; a grid base has only its own cells.
         """
         if self.dim != 2:
             raise ValueError("density grids are 2D only")
         res = resolution or self.grid_res
-        key = (round(float(t), 12), res, route if route != "auto" else "a" if self.analytic else "q")
-        if key in self._qt_cache:
-            return self._qt_cache[key]
-        at_data_end = t <= 0.0
-        if route == "convolve":
-            grid = self._qt_by_convolution(t, res)
-        elif self._use_analytic(route):
-            tilted = self._tilted if at_data_end else path_marginal(self._tilted, self.sched, float(clamp_time(t)))
-            grid = DensityGrid.from_fn(
-                lambda p: np.exp(gmm_logpdf(tilted, p)), self.bounds, res
+        if self.analytic:
+            return DensityGrid.from_fn(
+                lambda p: np.exp(gmm_logpdf(self._tilted, p)), self.bounds, res
             )
+        own = isinstance(self.base, DensityGrid)
+        if own and resolution is not None and (resolution, resolution) != self.base.values.shape:
+            ny, nx = self.base.values.shape
+            raise ValueError(f"a {ny}x{nx} grid base has no q_0 grid at resolution {resolution}")
+        if own or res == self.grid_res:
+            nodes = self.nodes
         else:
-            grid = self._qt_by_reweighting(t, res)
-        self._qt_cache[key] = grid
-        return grid
-
-    def _qt_by_reweighting(self, t: float, res: int) -> DensityGrid:
-        b = self.energy.beta
-        if t > 0.0:
-            ref = self._reference_grid(res)
-            vals = np.exp(self.guided_logdensity(ref.centers(), t, route="quad")).reshape(res, res)
-            return DensityGrid(ref.x_min, ref.x_max, ref.y_min, ref.y_max, vals).normalized()
-        if isinstance(self.base, DensityGrid):
-            vals = self.base.values * np.exp(-b * self.nodes.energy.reshape(self.base.values.shape))
-            return DensityGrid(
-                self.base.x_min, self.base.x_max, self.base.y_min, self.base.y_max, vals
-            ).normalized()
-        grid = DensityGrid.from_mixture(self.base, res, bounds=self.bounds)
-        e = np.asarray(self.energy(grid.centers()), dtype=float).reshape(grid.values.shape)
-        return DensityGrid(
-            grid.x_min, grid.x_max, grid.y_min, grid.y_max, grid.values * np.exp(-b * e)
-        ).normalized()
-
-    def _qt_by_convolution(self, t: float, res: int) -> DensityGrid:
-        q0 = self.guided_qt_grid(0.0, resolution=res)
-        if t <= 0.0:
-            return q0
-        tq = float(clamp_time(t))
-        mass = q0.masses().ravel()
-        out = self._reference_grid(res)
-        pts = out.centers()
-        vals = np.empty(len(pts))
-        for sl in node_blocks(len(pts), len(mass)):
-            lk = _joint_log_kernel(self._axis_log_kernels(pts[sl], tq, (q0.xs, q0.ys)))
-            vals[sl] = np.exp(lk, out=lk) @ mass
-        return DensityGrid(out.x_min, out.x_max, out.y_min, out.y_max, vals.reshape(res, res)).normalized()
-
-    def _reference_grid(self, res: int) -> DensityGrid:
+            nodes = quadrature_nodes(self.base, self.energy, res, self.pad_sigmas)
+        xs, ys = nodes.axes
+        log_q = nodes.log_mass - self.energy.beta * nodes.energy - nodes.log_z
+        vals = (np.exp(log_q) / nodes.cell_area).reshape(len(ys), len(xs))
         (x0, x1), (y0, y1) = self.bounds
-        return DensityGrid(x0, x1, y0, y1, np.full((res, res), 1.0 / ((x1 - x0) * (y1 - y0))))
+        return DensityGrid(x0, x1, y0, y1, vals)
 
     # ------------------------------------------------------------- diagnostics
 
@@ -358,10 +322,10 @@ class GuidedOracle:
         if self.dim != 2:
             raise ValueError("continuity residual is a 2D grid check")
         res = resolution
-        ref = self._reference_grid(res)
-        pts = ref.centers()
-        hx = (ref.x_max - ref.x_min) / res
-        hy = (ref.y_max - ref.y_min) / res
+        (x0, x1), (y0, y1) = self.bounds
+        pts = DensityGrid(x0, x1, y0, y1, np.zeros((res, res))).centers()
+        hx = (x1 - x0) / res
+        hy = (y1 - y0) / res
         t = float(clamp_time(t))
         q_plus = np.exp(self.guided_logdensity(pts, t + dt))
         q_minus = np.exp(self.guided_logdensity(pts, t - dt))

@@ -44,6 +44,13 @@ class SamplerConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
+def _start(sched: PathSchedule, n: int, dim: int, rng: Rng, steps: int):
+    """The decreasing time grid from t = 1-eps to t = eps in `steps` steps,
+    and n initial particles drawn from N(0, sigma(1-eps)^2 I)."""
+    ts = np.linspace(1.0 - T_EPS, T_EPS, steps + 1)
+    return ts, rng.normal((n, dim)) * float(sched.sigma(ts[0]))
+
+
 def sample_ode(
     velocity_fn,
     sched: PathSchedule,
@@ -60,8 +67,7 @@ def sample_ode(
     """
     if method not in ("euler", "heun"):
         raise ValueError(f"unknown ODE method {method!r}")
-    ts = np.linspace(1.0 - T_EPS, T_EPS, steps + 1)
-    x = rng.normal((n, dim)) * float(sched.sigma(ts[0]))
+    ts, x = _start(sched, n, dim, rng, steps)
     for i in range(steps):
         t0, t1 = float(ts[i]), float(ts[i + 1])
         h = t1 - t0
@@ -95,8 +101,7 @@ def sample_ancestral(
     """
     if sched.kind != "vp":
         raise ValueError("ancestral sampling assumes a variance-preserving schedule")
-    ts = np.linspace(1.0 - T_EPS, T_EPS, steps + 1)
-    x = rng.normal((n, dim)) * float(sched.sigma(ts[0]))
+    ts, x = _start(sched, n, dim, rng, steps)
     for i in range(steps):
         t, s = float(ts[i]), float(ts[i + 1])
         mu_t, mu_s = float(sched.mu(t)), float(sched.mu(s))

@@ -167,20 +167,21 @@ def test_qipo_rerun_is_byte_identical(tmp_path):
 @pytest.mark.parametrize(
     "command, key",
     [
-        ("qipo", "k3"), ("qipo", "k_renew"), ("train", "steps"), ("sample", "steps"),
-        ("eval", "n_ref"), ("eval", "tv_res"),
+        ("qipo", "k3"), ("qipo", "k_renew"), ("qipo", "pretrain.batch"), ("train", "steps"),
+        ("sample", "steps"), ("eval", "n_ref"), ("eval", "tv_res"),
     ],
 )
 def test_out_of_range_value_exits_2_and_writes_nothing(trained, command, key):
     root, _, out = trained
+    low = {"pretrain.batch": 2}.get(key, 1)  # a softmax-weighted batch needs two rows
     dest = root / f"range_{command}_{key}"
     if command == "sample":
-        args = ["--checkpoint", str(out / "checkpoint.bin"), f"--{key}", "0"]
+        args = ["--checkpoint", str(out / "checkpoint.bin"), f"--{key}", str(low - 1)]
     else:
         text = {"qipo": TINY_QIPO, "train": FAST_TRAIN, "eval": "dataset = gauss1d"}[command]
         kept = [line for line in text.splitlines() if not line.startswith(f"{key} =")]
         cfg = root / f"range_{command}_{key}.cfg"
-        cfg.write_text("\n".join(kept + [f"{key} = 0"]) + "\n")
+        cfg.write_text("\n".join(kept + [f"{key} = {low - 1}"]) + "\n")
         args = ["--config", str(cfg)]
         if command == "eval":
             samples = root / "range_samples.csv"
@@ -188,7 +189,7 @@ def test_out_of_range_value_exits_2_and_writes_nothing(trained, command, key):
             args += ["--samples", str(samples)]
     result = CliRunner().invoke(main, [command, *args, "--out", str(dest)])
     assert result.exit_code == 2, result.output
-    assert f"{key} must be >= 1, got 0" in result.output
+    assert f"{key} must be >= {low}, got {low - 1}" in result.output
     assert not dest.exists() or not any(dest.iterdir())
 
 
