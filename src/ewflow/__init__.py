@@ -1,7 +1,7 @@
 """Energy-weighted flow matching and diffusion with exact analytic references,
 plus Q-weighted iterative policy optimization on tractable offline-RL tasks."""
 
-from .energies import EnergySpec, normalization_constant, tilt_mixture
+from .energies import EnergySpec, tilt_mixture
 from .grids import DensityGrid, grid_sample, grid_tv_distance
 from .metrics import sliced_wasserstein
 from .mixtures import GaussianMixture, gmm_density, gmm_sample, path_marginal
@@ -21,7 +21,6 @@ __all__ = [
     "gmm_sample",
     "grid_sample",
     "grid_tv_distance",
-    "normalization_constant",
     "path_marginal",
     "sliced_wasserstein",
     "tilt_mixture",

@@ -138,8 +138,10 @@ def run_qipo(cfg: dict, out_dir: str):
         raise ConfigError(f"unsupported env {cfg['env']!r} for the qipo command (use 'bandit')")
     if cfg["q.mode"] not in ("oracle", "learned"):
         raise ConfigError(f"unknown q.mode {cfg['q.mode']!r} (oracle|learned)")
-    if cfg["pretrain.batch"] < 2:  # the pretraining batch is softmax-weighted
-        raise ConfigError(f"pretrain.batch must be >= 2, got {cfg['pretrain.batch']}")
+    # pretrain.batch is softmax-weighted, so it needs two rows
+    for key, low in (("pretrain.steps", 1), ("pretrain.batch", 2), ("q.steps", 1)):
+        if cfg[key] < low:
+            raise ConfigError(f"{key} must be >= {low}, got {cfg[key]}")
     qcfg = build_checked(
         QipoConfig,
         beta=cfg["beta"],

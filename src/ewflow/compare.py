@@ -41,6 +41,10 @@ def compare_guidance(cfg: dict, out_dir: str):
         raise ConfigError("guidance comparison requires a classifier energy (energy.classifier = true)")
     sched = build_schedule(cfg)
     betas = list(cfg["betas"])
+    if min(betas) < 0:
+        raise ConfigError(f"betas must be nonnegative, got {', '.join(f'{b:g}' for b in betas)}")
+    if cfg["ewd_mode"] not in ("per-beta", "beta-input"):
+        raise ConfigError(f"unknown ewd_mode {cfg['ewd_mode']!r} (per-beta|beta-input)")
     seed = cfg["seed"]
     n = cfg["n_samples"]
     sampler = build_checked(SamplerConfig, kind="heun_ode", steps=15, n=n)

@@ -122,8 +122,6 @@ TRAIN_SCHEMA = {
     "n_data": (int, 100_000),
     "log_every": (int, 100),
     "beta_max": (float, 10.0),
-    "oracle.res": (int, 48),
-    "exact.t_nodes": (int, 8),
     **_COMMON_ENERGY,
     **_COMMON_PATH,
     **_COMMON_MODEL,
@@ -206,6 +204,7 @@ def validate_config(values: dict, lines: dict, schema: dict, source: str = "<con
 
 
 def build_energy(cfg: dict) -> EnergySpec | None:
+    """The configured energy; a value EnergySpec rejects is a ConfigError."""
     kind = cfg.get("energy.kind", "none")
     beta = cfg.get("energy.beta", 1.0)
     classifier = cfg.get("energy.classifier", False)
@@ -214,26 +213,32 @@ def build_energy(cfg: dict) -> EnergySpec | None:
     if kind == "linear":
         if cfg.get("energy.a") is None:
             raise ConfigError("linear energy requires energy.a")
-        return EnergySpec.linear(cfg["energy.a"], beta)
+        return build_checked(EnergySpec.linear, a=cfg["energy.a"], beta=beta)
     if kind == "quadratic":
         if cfg.get("energy.diag") is None:
             raise ConfigError("quadratic energy requires energy.diag")
-        return EnergySpec.quadratic(
-            cfg["energy.diag"], beta, center=cfg.get("energy.center"), classifier=classifier
+        return build_checked(
+            EnergySpec.quadratic, diag=cfg["energy.diag"], beta=beta,
+            center=cfg.get("energy.center"), classifier=classifier,
         )
     if kind == "grid":
         if cfg.get("energy.table") is None:
             raise ConfigError("grid energy requires energy.table (a saved grid file)")
-        return EnergySpec.from_table(DensityGrid.load(cfg["energy.table"]), beta, classifier)
+        table = DensityGrid.load(cfg["energy.table"])
+        return build_checked(EnergySpec.from_table, table=table, beta=beta, classifier=classifier)
     raise ConfigError(f"unknown energy.kind {kind!r}")
 
 
 def build_schedule(cfg: dict) -> PathSchedule:
+    """The configured path; a value PathSchedule rejects is a ConfigError."""
     kind = cfg.get("path.kind", "ot")
     if kind == "ot":
-        return PathSchedule.ot(cfg.get("path.sigma_min", 0.0054))
+        return build_checked(PathSchedule.ot, sigma_min=cfg.get("path.sigma_min", 0.0054))
     if kind == "vp":
-        return PathSchedule.vp(cfg.get("path.beta_min", 0.1), cfg.get("path.beta_max", 20.0))
+        return build_checked(
+            PathSchedule.vp, beta_min=cfg.get("path.beta_min", 0.1),
+            beta_max=cfg.get("path.beta_max", 20.0),
+        )
     raise ConfigError(f"unknown path.kind {kind!r}")
 
 
@@ -257,8 +262,6 @@ _TRAIN_FIELDS = {
     "n_data": "n_data",
     "beta_max": "beta_max",
     "log_every": "log_every",
-    "oracle.res": "oracle_res",
-    "exact.t_nodes": "exact_t_nodes",
     "model.embed": "embed_dim",
 }
 

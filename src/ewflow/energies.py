@@ -15,10 +15,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import DensityGrid, quadrature_nodes
+from .grids import DensityGrid
 from .mixtures import GaussianMixture
 
-__all__ = ["EnergySpec", "tilt_mixture", "log_normalization_constant", "normalization_constant"]
+__all__ = ["EnergySpec", "tilt_mixture"]
 
 
 @dataclass(frozen=True)
@@ -86,14 +86,6 @@ class EnergySpec:
         """Tabulated energy; classifier tables are shifted so min E = 0."""
         shift = float(table.values.min()) if classifier else 0.0
         return EnergySpec("grid", beta, table=table, shift=shift, classifier=classifier)
-
-    @property
-    def dim(self) -> int | None:
-        if self.kind == "linear":
-            return len(self.a)
-        if self.kind == "quadratic":
-            return len(self.diag)
-        return 2
 
     def __call__(self, x) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(x, dtype=float))
@@ -176,13 +168,3 @@ def tilt_mixture(
     log_z = top + np.log(np.exp(lw - top).sum())
     return GaussianMixture(np.exp(lw - log_z), new_m, new_v), float(log_z)
 
-
-def log_normalization_constant(p0, energy: EnergySpec) -> float:
-    """log E_{x ~ p0}[exp(-beta E(x))], closed form when available else quadrature."""
-    if isinstance(p0, GaussianMixture) and energy.has_closed_tilt():
-        return tilt_mixture(p0, energy)[1]
-    return quadrature_nodes(p0, energy).log_z
-
-
-def normalization_constant(p0, energy: EnergySpec) -> float:
-    return float(np.exp(log_normalization_constant(p0, energy)))

@@ -84,15 +84,14 @@ class DensityGrid:
             raise ValueError("cannot normalize a grid with zero mass")
         return DensityGrid(self.x_min, self.x_max, self.y_min, self.y_max, self.values / total)
 
-    def cell_index(self, points: np.ndarray, clip: bool = True) -> tuple[np.ndarray, np.ndarray, float]:
-        """Map points to (row, col) cell indices; returns the clipped fraction."""
+    def cell_index(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """Map points to (row, col) cell indices, clipping points outside the
+        bounds to the nearest boundary cell; returns the clipped fraction."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         ix = np.floor((pts[:, 0] - self.x_min) / (self.x_max - self.x_min) * self.nx).astype(int)
         iy = np.floor((pts[:, 1] - self.y_min) / (self.y_max - self.y_min) * self.ny).astype(int)
         outside = (ix < 0) | (ix >= self.nx) | (iy < 0) | (iy >= self.ny)
         clipped = float(outside.mean()) if len(pts) else 0.0
-        if not clip and clipped > 0:
-            raise ValueError(f"{clipped:.1%} of points fall outside the grid bounds")
         return np.clip(iy, 0, self.ny - 1), np.clip(ix, 0, self.nx - 1), clipped
 
     @staticmethod

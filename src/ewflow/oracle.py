@@ -58,39 +58,29 @@ __all__ = ["GuidedOracle"]
 class GuidedOracle:
     """Exact guided marginals, fields, and scores for one (p0, E, path) triple.
 
-    base may be a GaussianMixture or a normalized DensityGrid.  The
-    quadrature route uses the node set `nodes`, built on first use (a
-    DensityGrid base supplies its own cells).  The one density grid it
-    gives is the guided target q_0 (guided_q0_grid).
+    base is a GaussianMixture.  The quadrature route uses the node set
+    `nodes`, built on first use.  The one density grid it gives is the
+    guided target q_0 (guided_q0_grid).
     """
 
     def __init__(
         self,
-        base,
+        base: GaussianMixture,
         energy: EnergySpec,
         sched: PathSchedule,
         grid_res: int = 256,
         pad_sigmas: float = 4.0,
     ):
+        if not isinstance(base, GaussianMixture):
+            raise TypeError(f"unsupported base {type(base).__name__}")
         self.base = base
         self.energy = energy
         self.sched = sched
         self.grid_res = grid_res
         self.pad_sigmas = pad_sigmas
-
-        if isinstance(base, GaussianMixture):
-            self.analytic = energy.has_closed_tilt()
-            self.dim = base.dim
-            self.bounds = mixture_bounds(base, pad_sigmas) if self.dim == 2 else None
-        elif isinstance(base, DensityGrid):
-            if not base.is_normalized():
-                raise ValueError("grid base must be normalized")
-            self.analytic = False
-            self.dim = 2
-            self.bounds = ((base.x_min, base.x_max), (base.y_min, base.y_max))
-        else:
-            raise TypeError(f"unsupported base {type(base).__name__}")
-
+        self.analytic = energy.has_closed_tilt()
+        self.dim = base.dim
+        self.bounds = mixture_bounds(base, pad_sigmas) if self.dim == 2 else None
         if self.analytic:
             self._tilted, self._log_z = tilt_mixture(base, energy)
         else:
@@ -210,16 +200,15 @@ class GuidedOracle:
     def marginal_score(self, x, t: float, route: str = "auto"):
         return self.guided_score(x, t, beta=0.0, route=route)
 
-    def intermediate_energy(self, x, t: float, beta: float | None = None, route: str = "auto"):
+    def intermediate_energy(self, x, t: float, route: str = "auto"):
         """E_t(x) = -log E_{x0|x}[exp(-beta E(x0))]; tends to -log Z as t -> 1."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         t = float(clamp_time(t))
-        b = self.energy.beta if beta is None else float(beta)
+        b = self.energy.beta
         if b == 0.0:
             return np.zeros(len(x))
         if self._use_analytic(route):
-            tilted, log_z = tilt_mixture(self.base, self.energy, b)
-            log_q = gmm_logpdf(path_marginal(tilted, self.sched, t), x) + log_z
+            log_q = gmm_logpdf(path_marginal(self._tilted, self.sched, t), x) + self._log_z
             log_p = gmm_logpdf(path_marginal(self.base, self.sched, t), x)
             return log_p - log_q
         log_norm, _, log_p = self._posterior(x, t, b, prior=True)
@@ -237,13 +226,13 @@ class GuidedOracle:
             return gmm_score(path_marginal(tilted, self.sched, t), x)
         return self._score_from_mean(x, t, self._posterior(x, t, b, mean=True)[1])
 
-    def guided_velocity(self, x, t: float, beta: float | None = None, route: str = "auto"):
+    def guided_velocity(self, x, t: float, route: str = "auto"):
         """Velocity field generating q_t: the guided score of the same route
         mapped by velocity_from_score.  The check of either route is the
         other one (quadrature against closed-form mixture algebra)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         t = float(clamp_time(t))
-        return velocity_from_score(self.sched, x, self.guided_score(x, t, beta, route), t)
+        return velocity_from_score(self.sched, x, self.guided_score(x, t, route=route), t)
 
     # ---------------------------------------------- classifier-style guidance
 
@@ -285,7 +274,7 @@ class GuidedOracle:
         of `bounds`.  The quadrature route reads the node weights
         m_n exp(-beta E_n) / Z per cell area off the node set at that
         resolution, normalized by the node set's own log Z as
-        guided_logdensity is; a grid base has only its own cells.
+        guided_logdensity is.
         """
         if self.dim != 2:
             raise ValueError("density grids are 2D only")
@@ -294,11 +283,7 @@ class GuidedOracle:
             return DensityGrid.from_fn(
                 lambda p: np.exp(gmm_logpdf(self._tilted, p)), self.bounds, res
             )
-        own = isinstance(self.base, DensityGrid)
-        if own and resolution is not None and (resolution, resolution) != self.base.values.shape:
-            ny, nx = self.base.values.shape
-            raise ValueError(f"a {ny}x{nx} grid base has no q_0 grid at resolution {resolution}")
-        if own or res == self.grid_res:
+        if res == self.grid_res:
             nodes = self.nodes
         else:
             nodes = quadrature_nodes(self.base, self.energy, res, self.pad_sigmas)
@@ -310,14 +295,12 @@ class GuidedOracle:
 
     # ------------------------------------------------------------- diagnostics
 
-    def continuity_residual(
-        self, t: float, resolution: int = 512, dt: float = 1e-3, velocity=None
-    ) -> float:
+    def continuity_residual(self, t: float, resolution: int = 512, velocity=None) -> float:
         """Integral of |d/dt q_t + div(q_t u_t)| over the grid.
 
-        Time derivative by central difference, divergence by second-order
-        central differences on the cell-center lattice.  u_t is the guided
-        velocity unless a velocity callable (pts, t) -> u is given.
+        Time derivative by central difference (step 1e-3), divergence by
+        second-order central differences on the cell-center lattice.  u_t is
+        the guided velocity unless a velocity callable (pts, t) -> u is given.
         """
         if self.dim != 2:
             raise ValueError("continuity residual is a 2D grid check")
@@ -327,6 +310,7 @@ class GuidedOracle:
         hx = (x1 - x0) / res
         hy = (y1 - y0) / res
         t = float(clamp_time(t))
+        dt = 1e-3
         q_plus = np.exp(self.guided_logdensity(pts, t + dt))
         q_minus = np.exp(self.guided_logdensity(pts, t - dt))
         dq_dt = (q_plus - q_minus) / (2.0 * dt)

@@ -383,6 +383,8 @@ class QipoConfig:
         for name in ("m_support", "k_renew", "k3", "batch", "eval_every", "eval_n", "ode_steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 <= self.lambda_soft <= 1.0:
+            raise ValueError(f"lambda_soft must lie in [0, 1], got {self.lambda_soft}")
         if self.policy_kind not in _POLICY_LOSS:
             raise ValueError(f"unknown policy kind {self.policy_kind!r} (score|velocity)")
 
@@ -401,14 +403,15 @@ def qipo_iterate(
     sched: PathSchedule,
     cfg: QipoConfig,
     rng: Rng,
-    spec: BanditSpec | None = None,
+    spec: BanditSpec,
 ) -> QipoResult:
     """Iterative Q-weighted refinement with periodic support renewal.
 
     Support actions come from a Polyak-averaged copy of the policy (refreshed
     every cfg.k_renew epochs); times and noise are redrawn every epoch while
     support actions and their guidance weights are reused between renewals.
-    q_fn(states, actions) supplies values for the guidance softmax.
+    q_fn(states, actions) supplies values for the guidance softmax; spec
+    gives each evaluation row its analytic target.
     """
     n = len(dataset)
     order = rng.derive(0).permutation(n)
@@ -474,18 +477,11 @@ def _eval_row(policy, cfg, sched, dataset, spec, epoch, cycles, rng):
     draws = sample_policy_actions(
         policy, cfg.policy_kind, sched, eval_state, rng, cfg.eval_n, ode_steps=cfg.ode_steps
     )[0]
-    mean = draws.mean(axis=0)
-    if spec is not None:
-        target = spec.target_mean(cycles, cfg.beta)
-        ref = spec.target_samples(cycles, cfg.beta, rng.derive(0), cfg.eval_n)
-        sw = sliced_wasserstein(draws, ref, rng=rng.derive(1))
-    else:
-        target = np.full_like(mean, np.nan)
-        sw = float("nan")
+    ref = spec.target_samples(cycles, cfg.beta, rng.derive(0), cfg.eval_n)
     return {
         "epoch": epoch,
-        "policy_mean": mean,
-        "analytic_target": target,
-        "sw_distance": sw,
+        "policy_mean": draws.mean(axis=0),
+        "analytic_target": spec.target_mean(cycles, cfg.beta),
+        "sw_distance": sliced_wasserstein(draws, ref, rng=rng.derive(1)),
         "cycles": cycles,
     }

@@ -226,14 +226,13 @@ def generate(
     cfg: SamplerConfig,
     rng: Rng,
     guidance_beta: float | None = None,
-    context: np.ndarray | None = None,
 ) -> np.ndarray:
     """Dispatch to the configured sampler for a checkpointed model."""
     dim = model.out_dim
     if cfg.kind == "ancestral":
-        fn = model_score_fn(model, meta, sched, guidance_beta, context)
+        fn = model_score_fn(model, meta, sched, guidance_beta)
         return sample_ancestral(fn, sched, cfg.n, dim, rng, steps=cfg.steps)
-    fn = model_velocity_fn(model, meta, sched, guidance_beta, context)
+    fn = model_velocity_fn(model, meta, sched, guidance_beta)
     method = "euler" if cfg.kind == "euler_ode" else "heun"
     return sample_ode(fn, sched, cfg.n, dim, rng, steps=cfg.steps, method=method)
 

@@ -24,7 +24,7 @@ import numpy as np
 from .datasets import make_dataset
 from .energies import EnergySpec
 from .grids import node_blocks
-from .mixtures import GaussianMixture, gmm_sample
+from .mixtures import gmm_sample
 from .nn import AdamState, MlpModel, adam_step, backward, forward_cached
 from .oracle import GuidedOracle
 from .paths import T_EPS, PathSchedule, cond_velocity, perturb, velocity_from_score
@@ -54,7 +54,7 @@ __all__ = [
 # the noise predictions of a null-token and a class-token head ("cfg_pair").
 _MODEL_KIND = {
     "cfm": "velocity", "cefm": "velocity", "ced": "score", "cfg": "cfg_pair",
-    "ced_beta_input": "score", "efm_exact": "velocity", "ed_exact": "score",
+    "ced_beta_input": "score",
 }
 LOSS_KINDS = tuple(_MODEL_KIND)
 
@@ -294,8 +294,6 @@ class TrainConfig:
     n_data: int = 100_000
     beta_max: float = 10.0
     log_every: int = 100
-    oracle_res: int = 48
-    exact_t_nodes: int = 8
 
     def __post_init__(self):
         if self.loss not in LOSS_KINDS:
@@ -314,7 +312,6 @@ class TrainResult:
     model: MlpModel
     log_rows: list
     meta: dict
-    gmm: GaussianMixture
 
 
 def train_density_model(cfg: TrainConfig) -> TrainResult:
@@ -335,37 +332,27 @@ def train_density_model(cfg: TrainConfig) -> TrainResult:
     )
     adam = AdamState.for_model(model, lr=cfg.lr)
 
-    oracle = None
-    data = labels = None
-    if cfg.loss in ("efm_exact", "ed_exact"):
-        oracle = GuidedOracle(gmm, cfg.energy, cfg.sched, grid_res=cfg.oracle_res)
-        t_nodes = np.linspace(T_EPS, 1.0 - T_EPS, cfg.exact_t_nodes + 2)[1:-1]
-    else:
-        data = gmm_sample(gmm, rng.derive(0), cfg.n_data)
-        if kind == "cfg_pair":
-            labels = make_classifier_labels(data, cfg.energy, rng.derive(3))
+    data = gmm_sample(gmm, rng.derive(0), cfg.n_data)
+    labels = make_classifier_labels(data, cfg.energy, rng.derive(3)) if kind == "cfg_pair" else None
 
     batch_rng = rng.derive(2)
     rows = []
     start = time.perf_counter()
     for step in range(1, cfg.steps + 1):
-        if oracle is not None:
-            loss, grad = _marginal_exact(model, oracle, t_nodes, kind)
+        # a beta-conditioned model draws its beta before the batch
+        beta = float(batch_rng.uniform(0.0, cfg.beta_max)) if model.accepts_beta else None
+        energy = None if kind == "cfg_pair" else cfg.energy
+        batch = build_weighted_batch(data, energy, cfg.sched, batch_rng, cfg.batch, beta=beta)
+        if kind == "cfg_pair":
+            lu, lc, grad = loss_cfg_pair(model, batch, labels[batch.idx], cfg.sched)
+            loss = lu + lc
+        elif cfg.loss == "cfm":
+            loss, grad = loss_cfm(model, batch, cfg.sched)
+        elif kind == "velocity":
+            loss, grad = loss_cefm(model, batch, cfg.sched)
         else:
-            # a beta-conditioned model draws its beta before the batch
-            beta = float(batch_rng.uniform(0.0, cfg.beta_max)) if model.accepts_beta else None
-            energy = None if kind == "cfg_pair" else cfg.energy
-            batch = build_weighted_batch(data, energy, cfg.sched, batch_rng, cfg.batch, beta=beta)
-            if kind == "cfg_pair":
-                lu, lc, grad = loss_cfg_pair(model, batch, labels[batch.idx], cfg.sched)
-                loss = lu + lc
-            elif cfg.loss == "cfm":
-                loss, grad = loss_cfm(model, batch, cfg.sched)
-            elif kind == "velocity":
-                loss, grad = loss_cefm(model, batch, cfg.sched)
-            else:
-                beta_norm = None if beta is None else beta / cfg.beta_max
-                loss, grad = loss_ced(model, batch, cfg.sched, beta_norm=beta_norm)
+            beta_norm = None if beta is None else beta / cfg.beta_max
+            loss, grad = loss_ced(model, batch, cfg.sched, beta_norm=beta_norm)
         adam_step(adam, model, grad)
         if step % cfg.log_every == 0 or step == cfg.steps:
             rows.append((step, loss, (time.perf_counter() - start) * 1000.0))
@@ -379,4 +366,4 @@ def train_density_model(cfg: TrainConfig) -> TrainResult:
         "beta_max": cfg.beta_max if cfg.loss == "ced_beta_input" else None,
         "path": cfg.sched.config(),
     }
-    return TrainResult(model, rows, meta, gmm)
+    return TrainResult(model, rows, meta)

@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from ewflow.cli import COMMANDS, main, replay_manifest
+from ewflow.config import TRAIN_SCHEMA, parse_config_text, validate_config
 from ewflow.sampling import read_samples_csv, write_samples_csv
 
 FAST_TRAIN = """
@@ -167,8 +168,9 @@ def test_qipo_rerun_is_byte_identical(tmp_path):
 @pytest.mark.parametrize(
     "command, key",
     [
-        ("qipo", "k3"), ("qipo", "k_renew"), ("qipo", "pretrain.batch"), ("train", "steps"),
-        ("sample", "steps"), ("eval", "n_ref"), ("eval", "tv_res"),
+        ("qipo", "k3"), ("qipo", "k_renew"), ("qipo", "pretrain.batch"), ("qipo", "pretrain.steps"),
+        ("qipo", "q.steps"), ("train", "steps"), ("sample", "steps"), ("eval", "n_ref"),
+        ("eval", "tv_res"),
     ],
 )
 def test_out_of_range_value_exits_2_and_writes_nothing(trained, command, key):
@@ -243,6 +245,59 @@ def test_compare_guidance_rerun_is_byte_identical(tmp_path):
     assert result.output.splitlines() == [str(out2 / name) for name in outputs]
     for name in outputs:
         assert (out / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("betas = 1.0, -2.0", "betas must be nonnegative, got 1, -2"),
+        ("ewd_mode = beta-inptu", "unknown ewd_mode 'beta-inptu'"),
+    ],
+)
+def test_compare_guidance_bad_betas_or_mode_exit_2_and_write_nothing(tmp_path, line, message):
+    key = line.split(" =")[0]
+    kept = [row for row in TINY_COMPARE.splitlines() if not row.startswith(f"{key} =")]
+    cfg = tmp_path / "cmp.cfg"
+    cfg.write_text("\n".join(kept + [line]) + "\n")
+    dest = tmp_path / "out"
+    result = CliRunner().invoke(main, ["compare-guidance", "--config", str(cfg), "--out", str(dest)])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not dest.exists() or not any(dest.iterdir())
+
+
+def _old_train_manifest(**changes) -> dict:
+    """The manifest of a FAST_TRAIN run as written while the train schema
+    still carried the exact-loss trainer's keys oracle.res and exact.t_nodes."""
+    config = validate_config(*parse_config_text(FAST_TRAIN), TRAIN_SCHEMA)
+    config.update({"oracle.res": 48, "exact.t_nodes": 8}, **changes)
+    return {"command": "train", "config": config, "seed": 11, "git": "unknown",
+            "outputs": ["checkpoint.bin", "log.csv"], "wallclock_s": 0.0}
+
+
+def _without_wallclock(log_csv) -> list:
+    return [line.rsplit(",", 1)[0] for line in log_csv.read_text().splitlines()]
+
+
+def test_rerun_of_manifest_with_exact_trainer_keys_reproduces_outputs(trained, tmp_path):
+    _, _, out = trained  # the FAST_TRAIN run the old manifest describes
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(_old_train_manifest()))
+    dest = tmp_path / "rerun"
+    result = CliRunner().invoke(main, ["rerun", "--manifest", str(manifest), "--out", str(dest)])
+    assert result.exit_code == 0, result.output
+    assert (dest / "checkpoint.bin").read_bytes() == (out / "checkpoint.bin").read_bytes()
+    assert _without_wallclock(dest / "log.csv") == _without_wallclock(out / "log.csv")
+
+
+def test_rerun_of_exact_loss_manifest_exits_2_and_names_the_loss(tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(_old_train_manifest(loss="efm_exact")))
+    dest = tmp_path / "rerun"
+    result = CliRunner().invoke(main, ["rerun", "--manifest", str(manifest), "--out", str(dest)])
+    assert result.exit_code == 2, result.output
+    assert "unknown loss 'efm_exact'" in result.output
+    assert not dest.exists() or not any(dest.iterdir())
 
 
 def test_rerun_of_unknown_command_exits_2(tmp_path):

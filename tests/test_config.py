@@ -69,6 +69,8 @@ def test_build_energy_variants():
         build_energy({"energy.kind": "linear"})
     with pytest.raises(ConfigError):
         build_energy({"energy.kind": "banana"})
+    with pytest.raises(ConfigError, match="beta must be nonnegative"):
+        build_energy({"energy.kind": "linear", "energy.beta": -1.0, "energy.a": (1.0,)})
 
 
 def test_build_schedule_variants():
@@ -78,6 +80,8 @@ def test_build_schedule_variants():
     assert vp.kind == "vp"
     with pytest.raises(ConfigError):
         build_schedule({"path.kind": "cosine"})
+    with pytest.raises(ConfigError, match="sigma_min must lie in"):
+        build_schedule({"path.kind": "ot", "path.sigma_min": 2.0})
 
 
 def test_qipo_schema_defaults_match_stated_values():

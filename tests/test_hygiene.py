@@ -12,6 +12,10 @@ not count.  Dunders and click commands are exempt.
 
 A third check installs the benchmark's tracer, which wraps package functions
 by module and name, and fails if any of those names is gone.
+
+A fourth check fails on a config key that nothing reads: every key of the
+command schemas must appear as a string somewhere under src/ outside the
+schema dict literals themselves.
 """
 
 import ast
@@ -20,6 +24,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from ewflow.config import COMPARE_SCHEMA, EVAL_SCHEMA, QIPO_SCHEMA, TRAIN_SCHEMA
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src").rglob("*.py"))
@@ -113,3 +119,43 @@ def test_bench_tracer_finds_every_traced_name():
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
+
+
+def _dead_config_keys(texts) -> list[str]:
+    """Schema keys that no string constant in the given module texts names,
+    not counting the strings of the schema dicts (`*_SCHEMA`, `_COMMON_*`)."""
+    strings = set()
+    for text in texts:
+        tree = ast.parse(text)
+        schema_nodes = {
+            id(e)
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(
+                isinstance(t, ast.Name) and (t.id.endswith("_SCHEMA") or t.id.startswith("_COMMON_"))
+                for t in node.targets
+            )
+            for e in ast.walk(node.value)
+        }
+        strings |= {
+            n.value
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str) and id(n) not in schema_nodes
+        }
+    keys = {k for schema in (TRAIN_SCHEMA, QIPO_SCHEMA, COMPARE_SCHEMA, EVAL_SCHEMA) for k in schema}
+    return sorted(keys - strings)
+
+
+def test_every_config_key_is_read():
+    dead = _dead_config_keys(p.read_text() for p in SOURCES)
+    assert not dead, "config keys nothing reads: " + ", ".join(dead)
+
+
+def test_dead_config_key_check_catches_a_dropped_train_field():
+    # compare-guidance and train read n_data only through _TRAIN_FIELDS
+    entry = '    "n_data": "n_data",\n'
+    texts = [p.read_text() for p in SOURCES]
+    config = next(i for i, p in enumerate(SOURCES) if p.name == "config.py")
+    assert texts[config].count(entry) == 1
+    texts[config] = texts[config].replace(entry, "")
+    assert _dead_config_keys(texts) == ["n_data"]

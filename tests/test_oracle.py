@@ -218,30 +218,18 @@ def test_large_beta_stays_finite():
 
 
 def test_grid_base_oracle_matches_mixture_oracle():
-    from ewflow.grids import DensityGrid, grid_sample
-
     gmm = make_dataset("bimodal2d")
-    base = DensityGrid.from_mixture(gmm, 128, pad_sigmas=6.0)
     energy = EnergySpec.quadratic([0.25, 0.25], 1.0, center=[2.0, 0.0], classifier=True)
-    orc = GuidedOracle(base, energy, PathSchedule.ot())
-    exact = GuidedOracle(gmm, energy, PathSchedule.ot())
-    pts = grid_sample(exact.guided_q0_grid(128), Rng(4), 10)
-    for t in (0.4,):
-        assert np.abs(orc.guided_score(pts, t) - exact.guided_score(pts, t)).max() < 1e-3
-    a = orc.guided_q0_grid(128)
-    tilted = tilt_mixture(gmm, energy)[0]
-    b = DensityGrid.from_fn(
-        lambda p: np.exp(gmm_logpdf(tilted, p)), ((a.x_min, a.x_max), (a.y_min, a.y_max)), 128
-    )
-    assert 0.5 * np.abs(a.masses() - b.masses()).sum() < 5e-3
-    with pytest.raises(ValueError, match="128x128 grid base has no q_0 grid at resolution 64"):
-        orc.guided_q0_grid(64)
-    # The quadrature route of a mixture base on the same box: p0 exp(-beta E)
-    # is the tilted mixture at every node, so the two grids differ by rounding.
+    with pytest.raises(TypeError, match="unsupported base DensityGrid"):
+        GuidedOracle(grids.DensityGrid.from_mixture(gmm, 128), energy, PathSchedule.ot())
+    # The quadrature route of a mixture base: p0 exp(-beta E) is the tilted
+    # mixture at every node, so its q_0 grid and the closed form's differ by rounding.
     quad = GuidedOracle(gmm, energy, PathSchedule.ot(), grid_res=128, pad_sigmas=6.0)
     quad.analytic = False
     c = quad.guided_q0_grid()
-    assert (c.x_min, c.x_max, c.y_min, c.y_max) == (a.x_min, a.x_max, a.y_min, a.y_max)
+    tilted = tilt_mixture(gmm, energy)[0]
+    b = grids.DensityGrid.from_fn(lambda p: np.exp(gmm_logpdf(tilted, p)), quad.bounds, 128)
+    assert (c.x_min, c.x_max, c.y_min, c.y_max) == (b.x_min, b.x_max, b.y_min, b.y_max)
     assert 0.5 * np.abs(c.masses() - b.masses()).sum() < 1e-12
 
 
@@ -344,7 +332,8 @@ def test_underflowed_factored_rows_fall_back_to_log_domain(monkeypatch):
     base = grids.DensityGrid(-6.0, 6.0, -6.0, 6.0, np.where(empty, 0.0, full.values)).normalized()
     energy = EnergySpec.linear([1.0, 0.0], 20.0)
     sched = PathSchedule.ot()
-    orc = GuidedOracle(base, energy, sched)
+    orc = GuidedOracle(gauss, energy, sched)
+    orc.nodes = grids.quadrature_nodes(base, energy)  # the holed grid's cells as the node set
     t = 1e-3
     x = np.array([[0.0, 0.0], [0.5, -0.7], [-1.0, 1.2], [1.3, 0.1], [3.0, 2.0], [-4.0, 0.5]])
     inside = (np.abs(x) < 1.5).all(axis=1)

@@ -218,3 +218,5 @@ def test_qipo_config_validation():
             QipoConfig(**{field: 0})
     with pytest.raises(ValueError, match="policy kind"):
         QipoConfig(policy_kind="energy")
+    with pytest.raises(ValueError, match=r"lambda_soft must lie in \[0, 1\], got 1.5"):
+        QipoConfig(lambda_soft=1.5)
