@@ -63,7 +63,6 @@ from .sampling import SamplerConfig, generate, read_samples_csv, write_samples_c
 from .training import train_density_model
 
 _LOG_HEADER = "step,loss,wallclock_ms\n"
-_SAMPLERS = {"euler": "euler_ode", "heun": "heun_ode", "ancestral": "ancestral"}
 
 
 def _fail(exc: BaseException) -> "NoReturn":  # noqa: F821
@@ -87,10 +86,7 @@ def run_train(cfg: dict, out_dir: str):
 
 
 def run_sample(cfg: dict, out_dir: str):
-    kind = _SAMPLERS.get(cfg["sampler"])
-    if kind is None:
-        raise ConfigError(f"unknown sampler {cfg['sampler']!r} (euler|heun|ancestral)")
-    sampler = build_checked(SamplerConfig, kind=kind, steps=cfg["steps"], n=cfg["n"])
+    sampler = build_checked(SamplerConfig, kind=cfg["sampler"], steps=cfg["steps"], n=cfg["n"])
     model, meta = load_checkpoint(cfg["checkpoint"])
     sched = build_schedule(meta.get("path", {}))
     # generate refuses a flag the checkpoint cannot take (ValueError) before it samples

@@ -45,9 +45,11 @@ def compare_guidance(cfg: dict, out_dir: str):
         raise ConfigError(f"betas must be nonnegative, got {', '.join(f'{b:g}' for b in betas)}")
     if cfg["ewd_mode"] not in ("per-beta", "beta-input"):
         raise ConfigError(f"unknown ewd_mode {cfg['ewd_mode']!r} (per-beta|beta-input)")
+    if cfg["ewd_mode"] == "beta-input" and max(betas) == 0:
+        raise ConfigError("ewd_mode beta-input needs beta_max = max(betas) > 0, got 0")
     seed = cfg["seed"]
     n = cfg["n_samples"]
-    sampler = build_checked(SamplerConfig, kind="heun_ode", steps=15, n=n)
+    sampler = build_checked(SamplerConfig, kind="heun", steps=15, n=n)
     outputs = ["report.json"]
 
     def _train(loss: str, beta: float, tag: str):

@@ -295,12 +295,12 @@ class GuidedOracle:
 
     # ------------------------------------------------------------- diagnostics
 
-    def continuity_residual(self, t: float, resolution: int = 512, velocity=None) -> float:
+    def continuity_residual(self, t: float, resolution: int = 512) -> float:
         """Integral of |d/dt q_t + div(q_t u_t)| over the grid.
 
         Time derivative by central difference (step 1e-3), divergence by
-        second-order central differences on the cell-center lattice.  u_t is
-        the guided velocity unless a velocity callable (pts, t) -> u is given.
+        second-order central differences on the cell-center lattice; u_t is
+        the guided velocity.
         """
         if self.dim != 2:
             raise ValueError("continuity residual is a 2D grid check")
@@ -315,7 +315,7 @@ class GuidedOracle:
         q_minus = np.exp(self.guided_logdensity(pts, t - dt))
         dq_dt = (q_plus - q_minus) / (2.0 * dt)
         q = np.exp(self.guided_logdensity(pts, t))
-        u = self.guided_velocity(pts, t) if velocity is None else velocity(pts, t)
+        u = self.guided_velocity(pts, t)
         fx = (q * u[:, 0]).reshape(res, res)
         fy = (q * u[:, 1]).reshape(res, res)
         # values are laid out with y varying along axis 0

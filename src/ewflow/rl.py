@@ -229,8 +229,7 @@ def sample_policy_actions(
     """(len(states), n_per_state, action_dim) draws through the flow ODE."""
     states = np.atleast_2d(np.asarray(states, dtype=float))
     reps = np.repeat(states, n_per_state, axis=0)
-    meta = {"model_kind": "velocity" if kind == "velocity" else "score"}
-    vfn = model_velocity_fn(model, meta, sched, context=reps)
+    vfn = model_velocity_fn(model, {"model_kind": kind}, sched, context=reps)
     out = sample_ode(vfn, sched, len(reps), model.out_dim, rng, steps=ode_steps)
     return out.reshape(len(states), n_per_state, model.out_dim)
 
@@ -363,6 +362,10 @@ def train_bandit_q(
 
 # ----------------------------------------------------------------------- QIPO
 
+# A renewal whose support actions average more than this many times the
+# dataset's mean |a| (at least 1) stops the run as diverged.
+DIVERGENCE_FACTOR = 10.0
+
 
 @dataclass
 class QipoConfig:
@@ -377,7 +380,6 @@ class QipoConfig:
     eval_every: int = 5
     eval_n: int = 4000
     policy_kind: str = "score"
-    divergence_factor: float = 10.0
 
     def __post_init__(self):
         for name in ("m_support", "k_renew", "k3", "batch", "eval_every", "eval_n", "ode_steps"):
@@ -443,10 +445,10 @@ def qipo_iterate(
                     cfg.m_support, epoch_rng.derive(k, bi), ode_steps=cfg.ode_steps,
                 )
                 scale = float(np.abs(acts[:, 1:, :]).mean())
-                if scale > cfg.divergence_factor * max(action_scale, 1.0):
+                if scale > DIVERGENCE_FACTOR * max(action_scale, 1.0):
                     raise RuntimeError(
                         f"support actions diverged at epoch {k}: mean |a| = {scale:.3g} "
-                        f"exceeds {cfg.divergence_factor}x the dataset scale {action_scale:.3g}"
+                        f"exceeds {DIVERGENCE_FACTOR}x the dataset scale {action_scale:.3g}"
                     )
                 qv = q_fn(
                     np.repeat(states, cfg.m_support + 1, axis=0),

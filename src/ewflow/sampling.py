@@ -32,13 +32,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    kind: str = "heun_ode"  # euler_ode | heun_ode | ancestral
+    kind: str = "heun"  # euler | heun (sample_ode) | ancestral
     steps: int = 15
     n: int = 2000
 
     def __post_init__(self):
-        if self.kind not in ("euler_ode", "heun_ode", "ancestral"):
-            raise ValueError(f"unknown sampler kind {self.kind!r}")
+        if self.kind not in ("euler", "heun", "ancestral"):
+            raise ValueError(f"unknown sampler {self.kind!r} (euler|heun|ancestral)")
         for name in ("steps", "n"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -138,36 +138,25 @@ def _row_context(context, n: int):
     return None if context is None else np.broadcast_to(context, (n, np.shape(context)[-1]))
 
 
-def model_score_fn(
-    model: MlpModel,
-    meta: dict,
-    sched: PathSchedule,
-    guidance_beta: float | None = None,
-    context: np.ndarray | None = None,
-):
-    """Score callable (x, t) -> s from a checkpointed model plus its metadata.
+def _network_fn(model: MlpModel, kind: str, meta: dict, guidance_beta, context):
+    """(x, t) -> the checkpoint's output (a velocity or a noise), through one forward workspace.
 
-    Score-style checkpoints store noise predictors; the score at (x, t) is
-    -n(x, t) / sigma_t.  Classifier-pair checkpoints compose the null-token
-    and class-token heads with the affine guidance rule before rescaling.
-    A context is either one (d,) vector for every row of x or an (n, d)
-    array with one row per row of x.  The callable keeps one forward
-    workspace, which every network evaluation of a sampling call reuses.
-    A guidance beta is refused for a plain score model, which takes none.
+    A classifier pair mixes its null- and class-token heads affinely (beta = 1
+    without a guidance beta); a beta-conditioned model is fed guidance beta /
+    beta_max; a plain model refuses a guidance beta.  Both of the latter take
+    the caller's context: one (d,) vector for every row of x, or (n, d).
     """
-    kind = meta.get("model_kind", "score")
     ws = {}
-    if kind == "velocity":
-        raise ValueError("velocity models have no score head; sample through the ODE instead")
     if kind == "cfg_pair":
         beta = 1.0 if guidance_beta is None else float(guidance_beta)
 
-        def fn(x, t):
+        def net(x, t):
             nu = forward(model, x, t, context=_row_context(_CTX_NULL, len(x)), workspace=ws)
             nc = forward(model, x, t, context=_row_context(_CTX_COND, len(x)), workspace=ws)
-            return -cfg_compose(nu, nc, beta) / float(sched.sigma(t))
+            return cfg_compose(nu, nc, beta)
 
-        return fn
+        return net
+    bn = None
     if model.accepts_beta:
         beta_max = meta.get("beta_max")
         if beta_max is None:
@@ -175,19 +164,33 @@ def model_score_fn(
         if guidance_beta is None:
             raise ValueError("this checkpoint needs an explicit guidance beta")
         bn = float(guidance_beta) / float(beta_max)
+    elif guidance_beta is not None:
+        raise ValueError(f"a plain {kind} checkpoint takes no guidance beta")
 
-        def fn(x, t):
-            return -forward(model, x, t, beta_norm=bn, workspace=ws) / float(sched.sigma(t))
-
-        return fn
-    if guidance_beta is not None:
-        raise ValueError("a plain score checkpoint takes no guidance beta")
-
-    def fn(x, t):
+    def net(x, t):
         ctx = _row_context(context, len(x))
-        return -forward(model, x, t, context=ctx, workspace=ws) / float(sched.sigma(t))
+        return forward(model, x, t, context=ctx, beta_norm=bn, workspace=ws)
 
-    return fn
+    return net
+
+
+def model_score_fn(
+    model: MlpModel,
+    meta: dict,
+    sched: PathSchedule,
+    guidance_beta: float | None = None,
+    context: np.ndarray | None = None,
+):
+    """Score callable (x, t) -> -n(x, t) / sigma_t from a noise-predicting checkpoint.
+
+    n is the network output of _network_fn, which also sets the rules for
+    the guidance beta and the context; a velocity checkpoint has no score head.
+    """
+    kind = meta.get("model_kind", "score")
+    if kind == "velocity":
+        raise ValueError("velocity models have no score head; sample through the ODE instead")
+    net = _network_fn(model, kind, meta, guidance_beta, context)
+    return lambda x, t: -net(x, t) / float(sched.sigma(t))
 
 
 def model_velocity_fn(
@@ -197,26 +200,14 @@ def model_velocity_fn(
     guidance_beta: float | None = None,
     context: np.ndarray | None = None,
 ):
-    """Velocity callable (x, t) -> v; score-style models are converted pointwise.
-
-    The context, the workspace and the guidance beta are as in model_score_fn.
-    """
+    """Velocity callable (x, t) -> v: a velocity checkpoint's own output, or a
+    noise predictor's score converted pointwise.  The guidance beta and the
+    context are as in _network_fn."""
     kind = meta.get("model_kind", "velocity")
     if kind == "velocity":
-        if guidance_beta is not None:
-            raise ValueError("a plain velocity checkpoint takes no guidance beta")
-        ws = {}
-
-        def fn(x, t):
-            return forward(model, x, t, context=_row_context(context, len(x)), workspace=ws)
-
-        return fn
+        return _network_fn(model, kind, meta, guidance_beta, context)
     score_fn = model_score_fn(model, meta, sched, guidance_beta, context)
-
-    def fn(x, t):
-        return velocity_from_score(sched, x, score_fn(x, t), t)
-
-    return fn
+    return lambda x, t: velocity_from_score(sched, x, score_fn(x, t), t)
 
 
 def generate(
@@ -233,8 +224,7 @@ def generate(
         fn = model_score_fn(model, meta, sched, guidance_beta)
         return sample_ancestral(fn, sched, cfg.n, dim, rng, steps=cfg.steps)
     fn = model_velocity_fn(model, meta, sched, guidance_beta)
-    method = "euler" if cfg.kind == "euler_ode" else "heun"
-    return sample_ode(fn, sched, cfg.n, dim, rng, steps=cfg.steps, method=method)
+    return sample_ode(fn, sched, cfg.n, dim, rng, steps=cfg.steps, method=cfg.kind)
 
 
 def write_samples_csv(path, samples: np.ndarray, meta: dict) -> None:

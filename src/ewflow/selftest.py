@@ -1,8 +1,6 @@
 """Built-in invariant suite: fast structural checks behind `ewflow selftest`.
 
-Each check returns pass/fail with wall-clock; the continuity check accepts an
-injectable velocity override so the suite itself can be validated by breaking
-one ingredient (a sign flip must make it fail).
+Each check returns pass/fail with wall-clock.
 """
 
 from __future__ import annotations
@@ -135,20 +133,13 @@ def _check_guidance_composition_identity():
     return worst < 1e-6, f"max |affine - exact| at unit scale {worst:.2e}"
 
 
-def _check_continuity(mutations=frozenset(), resolution=768):
+def _check_continuity(resolution=768):
     gmm = make_dataset("8gaussians")
     energy = EnergySpec.quadratic([0.25, 0.25], beta=1.0, center=[4.0, 0.0], classifier=True)
     worst = 0.0
     for sched in (PathSchedule.ot(), PathSchedule.vp()):
         oracle = GuidedOracle(gmm, energy, sched)
-        override = None
-        if "cond_score_sign" in mutations:
-
-            def override(pts, t, _o=oracle, _s=sched):
-                flipped = -_o.guided_score(pts, t, route="analytic")
-                return velocity_from_score(_s, pts, flipped, t)
-
-        worst = max(worst, oracle.continuity_residual(0.5, resolution, velocity=override))
+        worst = max(worst, oracle.continuity_residual(0.5, resolution))
     return worst < 5e-3, f"max integrated residual {worst:.2e} (budget 5e-3)"
 
 
@@ -178,7 +169,7 @@ def _check_marginal_consistency():
     return worst < 1e-4, f"max |log p_t analytic - quadrature| {worst:.2e}"
 
 
-def run_selftest(fast: bool = True, mutations: frozenset = frozenset()) -> list[CheckResult]:
+def run_selftest(fast: bool = True) -> list[CheckResult]:
     resolution = 768 if fast else 1024
     checks = [
         ("velocity/score round trip", _check_conversion_roundtrip),
@@ -186,7 +177,7 @@ def run_selftest(fast: bool = True, mutations: frozenset = frozenset()) -> list[
         ("network gradients vs finite differences", _check_nn_gradients),
         ("marginal vs conditional loss gradients", _check_gradient_equality),
         ("guidance compositions agree at unit scale", _check_guidance_composition_identity),
-        ("guided field satisfies continuity", lambda: _check_continuity(mutations, resolution)),
+        ("guided field satisfies continuity", lambda: _check_continuity(resolution)),
         ("perturbation statistics", _check_perturb_statistics),
         ("analytic vs quadrature marginals", _check_marginal_consistency),
     ]

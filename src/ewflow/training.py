@@ -305,6 +305,8 @@ class TrainConfig:
         for name in ("steps", "log_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.loss == "ced_beta_input" and not self.beta_max > 0:
+            raise ValueError(f"beta_max must be > 0 for loss ced_beta_input, got {self.beta_max:g}")
 
 
 @dataclass

@@ -114,7 +114,7 @@ def test_criterion_03_eight_gaussians_guided_fit(loss, kind, beta):
     result = train_density_model(cfg)
     oracle = GuidedOracle(make_dataset("8gaussians"), EIGHT_ENERGY.with_beta(beta), sched)
     ref = grid_sample(oracle.guided_q0_grid(), Rng(110), 2000)
-    sampler = ("heun_ode", 15) if loss == "cefm" else ("ancestral", 50)
+    sampler = ("heun", 15) if loss == "cefm" else ("ancestral", 50)
     samples = _sample(result, sched, 2000, seed=111, sampler=sampler)
     sw = sliced_wasserstein(samples, ref, rng=Rng(112))
     ok = sw < 0.15

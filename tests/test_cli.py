@@ -5,8 +5,10 @@ import pytest
 from click.testing import CliRunner
 
 from ewflow.cli import COMMANDS, main, replay_manifest
-from ewflow.config import TRAIN_SCHEMA, parse_config_text, validate_config
-from ewflow.sampling import read_samples_csv, write_samples_csv
+from ewflow.config import TRAIN_SCHEMA, build_schedule, parse_config_text, validate_config
+from ewflow.nn import load_checkpoint
+from ewflow.rng import Rng
+from ewflow.sampling import SamplerConfig, generate, read_samples_csv, write_samples_csv
 
 FAST_TRAIN = """
 dataset = gauss1d
@@ -89,6 +91,44 @@ def test_sample_default_count_and_determinism(trained):
     assert r3.exit_code == 0
 
 
+@pytest.mark.parametrize("sampler", ["euler", "heun", "ancestral"])
+def test_sample_each_sampler_matches_generate_and_reruns(trained, sampler):
+    root, _, out = trained  # a ced checkpoint on the vp path
+    ckpt = str(out / "checkpoint.bin")
+    dest = root / f"sampler_{sampler}"
+    result = CliRunner().invoke(
+        main,
+        ["sample", "--checkpoint", ckpt, "--sampler", sampler, "--steps", "6", "-n", "50",
+         "--seed", "4", "--out", str(dest)],
+    )
+    assert result.exit_code == 0, result.output
+    pts, meta = read_samples_csv(dest / "samples.csv")
+    assert meta["sampler"] == sampler
+    model, ckpt_meta = load_checkpoint(ckpt)
+    sched = build_schedule(ckpt_meta["path"])
+    want = generate(model, ckpt_meta, sched, SamplerConfig(sampler, 6, 50), Rng(4))
+    assert np.array_equal(pts, want)
+    again = root / f"sampler_{sampler}_rerun"
+    result = CliRunner().invoke(
+        main, ["rerun", "--manifest", str(dest / "manifest.json"), "--out", str(again)]
+    )
+    assert result.exit_code == 0, result.output
+    assert (again / "samples.csv").read_bytes() == (dest / "samples.csv").read_bytes()
+
+
+def test_unknown_sampler_exits_2_and_writes_nothing(trained):
+    root, _, out = trained
+    dest = root / "sampler_rk45"
+    result = CliRunner().invoke(
+        main,
+        ["sample", "--checkpoint", str(out / "checkpoint.bin"), "--sampler", "rk45",
+         "--out", str(dest)],
+    )
+    assert result.exit_code == 2, result.output
+    assert "unknown sampler 'rk45' (euler|heun|ancestral)" in result.output
+    assert not dest.exists() or not any(dest.iterdir())
+
+
 def test_train_rerun_reproduces_checkpoint_bytes(trained):
     root, cfg, out = trained
     out2 = root / "run2"
@@ -169,21 +209,26 @@ def test_qipo_rerun_is_byte_identical(tmp_path):
     "command, key",
     [
         ("qipo", "k3"), ("qipo", "k_renew"), ("qipo", "pretrain.batch"), ("qipo", "pretrain.steps"),
-        ("qipo", "q.steps"), ("train", "steps"), ("sample", "steps"), ("eval", "n_ref"),
-        ("eval", "tv_res"),
+        ("qipo", "q.steps"), ("train", "steps"), ("train", "beta_max"), ("sample", "steps"),
+        ("eval", "n_ref"), ("eval", "tv_res"),
     ],
 )
 def test_out_of_range_value_exits_2_and_writes_nothing(trained, command, key):
     root, _, out = trained
     low = {"pretrain.batch": 2}.get(key, 1)  # a softmax-weighted batch needs two rows
+    bad, message = low - 1, f"{key} must be >= {low}, got {low - 1}"
+    train = FAST_TRAIN
+    if key == "beta_max":  # only the beta-conditioned loss divides by it
+        bad, message = 0, "beta_max must be > 0 for loss ced_beta_input, got 0"
+        train = FAST_TRAIN.replace("loss = ced\n", "loss = ced_beta_input\n")
     dest = root / f"range_{command}_{key}"
     if command == "sample":
-        args = ["--checkpoint", str(out / "checkpoint.bin"), f"--{key}", str(low - 1)]
+        args = ["--checkpoint", str(out / "checkpoint.bin"), f"--{key}", str(bad)]
     else:
-        text = {"qipo": TINY_QIPO, "train": FAST_TRAIN, "eval": "dataset = gauss1d"}[command]
+        text = {"qipo": TINY_QIPO, "train": train, "eval": "dataset = gauss1d"}[command]
         kept = [line for line in text.splitlines() if not line.startswith(f"{key} =")]
         cfg = root / f"range_{command}_{key}.cfg"
-        cfg.write_text("\n".join(kept + [f"{key} = {low - 1}"]) + "\n")
+        cfg.write_text("\n".join(kept + [f"{key} = {bad}"]) + "\n")
         args = ["--config", str(cfg)]
         if command == "eval":
             samples = root / "range_samples.csv"
@@ -191,7 +236,7 @@ def test_out_of_range_value_exits_2_and_writes_nothing(trained, command, key):
             args += ["--samples", str(samples)]
     result = CliRunner().invoke(main, [command, *args, "--out", str(dest)])
     assert result.exit_code == 2, result.output
-    assert f"{key} must be >= {low}, got {low - 1}" in result.output
+    assert message in result.output
     assert not dest.exists() or not any(dest.iterdir())
 
 
@@ -252,6 +297,7 @@ def test_compare_guidance_rerun_is_byte_identical(tmp_path):
     [
         ("betas = 1.0, -2.0", "betas must be nonnegative, got 1, -2"),
         ("ewd_mode = beta-inptu", "unknown ewd_mode 'beta-inptu'"),
+        ("betas = 0.0\newd_mode = beta-input", "needs beta_max = max(betas) > 0, got 0"),
     ],
 )
 def test_compare_guidance_bad_betas_or_mode_exit_2_and_write_nothing(tmp_path, line, message):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ewflow import rl
 from ewflow.metrics import sliced_wasserstein
 from ewflow.nn import AdamState, MlpModel
 from ewflow.paths import PathSchedule
@@ -203,11 +204,12 @@ def test_qipo_eval_rows_count_support_renewals():
         np.testing.assert_array_equal(row["analytic_target"], [0.5, -0.25])
 
 
-def test_qipo_divergence_detector():
+def test_qipo_divergence_detector(monkeypatch):
+    monkeypatch.setattr(rl, "DIVERGENCE_FACTOR", 1e-6)
     spec = BanditSpec(w=[1.0])
     ds = make_bandit_dataset(spec, 512, Rng(32))
     policy = behavior_pretrain(ds, SCHED, Rng(33), steps=500)
-    cfg = QipoConfig(beta=1.0, m_support=4, k3=2, batch=64, divergence_factor=1e-6)
+    cfg = QipoConfig(beta=1.0, m_support=4, k3=2, batch=64)
     with pytest.raises(RuntimeError, match="diverged"):
         qipo_iterate(policy, spec.q_values, ds, SCHED, cfg, Rng(34), spec=spec)
 

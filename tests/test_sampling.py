@@ -172,6 +172,10 @@ def test_model_fn_validation():
         model_score_fn(vel_model, {"model_kind": "score"}, sched, guidance_beta=1.0)
     with pytest.raises(ValueError, match="plain velocity checkpoint takes no guidance beta"):
         model_velocity_fn(vel_model, {"model_kind": "velocity"}, sched, guidance_beta=1.0)
+    meta = {"model_kind": "score", "beta_max": 5.0}
+    fn = model_score_fn(beta_model, meta, sched, guidance_beta=1.0, context=np.ones(2))
+    with pytest.raises(ValueError, match="model takes no context"):
+        fn(np.zeros((3, 1)), 0.5)
 
 
 def test_model_velocity_fn_per_row_and_shared_context():
@@ -270,7 +274,7 @@ def test_adapter_samplers_match_workspace_free_forward(kind):
 @pytest.mark.parametrize("kind", ["velocity", "cfg_pair"])
 def test_generate_reruns_are_identical(kind):
     model, meta, beta, _ = _adapter_case(kind)
-    cfg = SamplerConfig(kind="heun_ode", steps=5, n=40)
+    cfg = SamplerConfig(kind="heun", steps=5, n=40)
     first = generate(model, meta, PathSchedule.vp(), cfg, Rng(43), guidance_beta=beta)
     again = generate(model, meta, PathSchedule.vp(), cfg, Rng(43), guidance_beta=beta)
     assert np.array_equal(first, again)
@@ -287,11 +291,14 @@ def test_samplers_call_forward_through_the_module_global(monkeypatch):
 
     monkeypatch.setattr(sampling, "forward", counting)
     sched = PathSchedule.vp()
-    model, meta, _, _ = _adapter_case("velocity")
-    generate(model, meta, sched, SamplerConfig(kind="heun_ode", steps=15, n=20), Rng(44))
-    assert calls[0] == 30
-    calls[0] = 0
-    model, meta, beta, _ = _adapter_case("cfg_pair")
-    cfg = SamplerConfig(kind="ancestral", steps=7, n=20)
-    generate(model, meta, sched, cfg, Rng(45), guidance_beta=beta)
-    assert calls[0] == 2 * 7
+    # (model kind, sampler, forward calls per step): a Heun step evaluates the
+    # field twice, a classifier pair evaluates both heads per field.
+    for kind, sampler, per_step in (
+        ("velocity", "heun", 2), ("score", "euler", 1), ("cfg_pair", "ancestral", 2),
+        ("beta", "heun", 2),
+    ):
+        calls[0] = 0
+        model, meta, beta, _ = _adapter_case(kind)
+        cfg = SamplerConfig(kind=sampler, steps=7, n=20)
+        generate(model, meta, sched, cfg, Rng(44), guidance_beta=beta)
+        assert calls[0] == per_step * 7, kind
