@@ -54,9 +54,10 @@ from .rl import (
     QipoConfig,
     behavior_pretrain,
     make_bandit_dataset,
+    q_forward,
     qipo_iterate,
     sample_policy_actions,
-    train_bandit_q,
+    train_q,
 )
 from .rng import Rng
 from .sampling import SamplerConfig, generate, read_samples_csv, write_samples_csv
@@ -135,9 +136,11 @@ def run_qipo(cfg: dict, out_dir: str):
     if cfg["q.mode"] not in ("oracle", "learned"):
         raise ConfigError(f"unknown q.mode {cfg['q.mode']!r} (oracle|learned)")
     # pretrain.batch is softmax-weighted, so it needs two rows
-    for key, low in (("pretrain.steps", 1), ("pretrain.batch", 2), ("q.steps", 1)):
+    for key, low in (("env.n_data", 1), ("pretrain.steps", 1), ("pretrain.batch", 2), ("q.steps", 1)):
         if cfg[key] < low:
             raise ConfigError(f"{key} must be >= {low}, got {cfg[key]}")
+    if cfg["model.embed"] < 0 or cfg["model.embed"] % 2:
+        raise ConfigError(f"model.embed must be even and >= 0, got {cfg['model.embed']}")
     qcfg = build_checked(
         QipoConfig,
         beta=cfg["beta"],
@@ -170,9 +173,12 @@ def run_qipo(cfg: dict, out_dir: str):
     if cfg["q.mode"] == "oracle":
         q_fn = spec.q_values
     else:
-        q_fn = train_bandit_q(
-            spec, dataset, rng.derive(3), steps=cfg["q.steps"], lr=cfg["q.lr"]
+        # every bandit transition is terminal: gamma = 0 and one dummy next action
+        qnet = train_q(
+            dataset, np.zeros((1, spec.action_dim)), 0.0, 0.0, rng.derive(3),
+            steps=cfg["q.steps"], batch=256, lr=cfg["q.lr"], lam_soft=0.005,
         )
+        q_fn = lambda states, actions: q_forward(qnet, states, actions)  # noqa: E731
     result = qipo_iterate(policy, q_fn, dataset, sched, qcfg, rng.derive(2), spec=spec)
     save_checkpoint(
         result.policy,
@@ -202,8 +208,10 @@ def run_qipo(cfg: dict, out_dir: str):
     return final, ["checkpoint.bin", "log.csv", "report.json", "timing.json"]
 
 
-def _time_action_generation(policy, cfg, sched, dataset, rng, n: int = 512):
-    """Per-action wall-clock of this package's own samplers on the final policy."""
+def _time_action_generation(policy, cfg, sched, dataset, rng):
+    """Per-action wall-clock of this package's own samplers on the final
+    policy, over 512 actions."""
+    n = 512
     state = np.zeros((1, dataset.state_dim))
     timing = {}
     for steps, label in ((cfg["sampler.steps"], f"ode_heun_{cfg['sampler.steps']}"), (50, "ode_heun_50")):
@@ -320,12 +328,11 @@ def qipo(config_path, out_dir):
 
 
 @main.command()
-@click.option("--fast/--full", default=True, show_default=True)
-def selftest(fast):
+def selftest():
     """Run the built-in invariant suite and print a pass/fail table."""
     from .selftest import run_selftest
 
-    results = run_selftest(fast=fast)
+    results = run_selftest()
     width = max(len(r.name) for r in results)
     ok = True
     for r in results:

@@ -43,6 +43,8 @@ def compare_guidance(cfg: dict, out_dir: str):
     betas = list(cfg["betas"])
     if min(betas) < 0:
         raise ConfigError(f"betas must be nonnegative, got {', '.join(f'{b:g}' for b in betas)}")
+    if cfg["tv_res"] < 1:
+        raise ConfigError(f"tv_res must be >= 1, got {cfg['tv_res']}")
     if cfg["ewd_mode"] not in ("per-beta", "beta-input"):
         raise ConfigError(f"unknown ewd_mode {cfg['ewd_mode']!r} (per-beta|beta-input)")
     if cfg["ewd_mode"] == "beta-input" and max(betas) == 0:

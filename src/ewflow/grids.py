@@ -75,9 +75,6 @@ class DensityGrid:
     def total_mass(self) -> float:
         return float(self.values.sum() * self.cell_area)
 
-    def is_normalized(self, tol: float = 1e-3) -> bool:
-        return abs(self.total_mass() - 1.0) <= tol
-
     def normalized(self) -> "DensityGrid":
         total = self.total_mass()
         if total <= 0:
@@ -218,7 +215,7 @@ def node_blocks(n_rows: int, n_nodes: int):
 
 def grid_sample(grid: DensityGrid, rng: Rng, n: int) -> np.ndarray:
     """Sample cells by their mass, then jitter uniformly within each cell."""
-    if not grid.is_normalized():
+    if abs(grid.total_mass() - 1.0) > 1e-3:
         raise ValueError(f"grid is not normalized (total mass {grid.total_mass():.6f})")
     flat = grid.masses().ravel()
     idx = rng.categorical(flat, n)

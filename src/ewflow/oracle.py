@@ -236,15 +236,15 @@ class GuidedOracle:
 
     # ---------------------------------------------- classifier-style guidance
 
-    def cep_score_exact(self, x, t: float, beta: float | None = None, route: str = "auto"):
+    def cep_score_exact(self, x, t: float, beta: float | None = None):
         """Exponent-inside composition: grad log p_t + grad log E[p(c|x0)^beta].
 
         Equals the guided score of q proportional to p * exp(-beta E).
         """
         self._require_classifier()
-        return self.guided_score(x, t, beta=beta, route=route)
+        return self.guided_score(x, t, beta=beta)
 
-    def cfg_score_exact(self, x, t: float, beta: float | None = None, route: str = "auto"):
+    def cfg_score_exact(self, x, t: float, beta: float | None = None):
         """Exponent-outside composition: grad log p_t + beta * grad log E[p(c|x0)].
 
         This is what affine mixing of conditional and unconditional scores
@@ -254,8 +254,8 @@ class GuidedOracle:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         t = float(clamp_time(t))
         b = self.energy.beta if beta is None else float(beta)
-        s_p = self.marginal_score(x, t, route=route)
-        s_q1 = self.guided_score(x, t, beta=1.0, route=route)
+        s_p = self.marginal_score(x, t)
+        s_q1 = self.guided_score(x, t, beta=1.0)
         return s_p + b * (s_q1 - s_p)
 
     def _require_classifier(self):
@@ -278,7 +278,7 @@ class GuidedOracle:
         """
         if self.dim != 2:
             raise ValueError("density grids are 2D only")
-        res = resolution or self.grid_res
+        res = self.grid_res if resolution is None else resolution
         if self.analytic:
             return DensityGrid.from_fn(
                 lambda p: np.exp(gmm_logpdf(self._tilted, p)), self.bounds, res

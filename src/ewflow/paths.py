@@ -142,11 +142,7 @@ def cond_velocity(sched: PathSchedule, x, x0, t):
 
     For the ot schedule this reduces to ((1 - sigma_min) x - x0) / sigma_t.
     """
-    t = clamp_time(t)
-    x = np.asarray(x, dtype=float)
-    return _bcast(sched.drift_coef(t), x) * x + _bcast(sched.score_coef(t), x) * cond_score(
-        sched, x, x0, t
-    )
+    return velocity_from_score(sched, x, cond_score(sched, x, x0, t), t)
 
 
 def velocity_from_score(sched: PathSchedule, x, score, t):

@@ -36,8 +36,7 @@ __all__ = [
     "build_support_set",
     "support_weights",
     "q_learning_step",
-    "train_chain_q",
-    "train_bandit_q",
+    "train_q",
     "QipoConfig",
     "qipo_iterate",
 ]
@@ -135,16 +134,17 @@ class ChainMdpSpec:
         return s2, r
 
     def one_hot(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=int)
-        out = np.zeros((s.size, self.n_states))
-        out[np.arange(s.size), s.ravel()] = 1.0
-        return out
+        return _one_hot(s, self.n_states)
 
     def action_one_hot(self, a) -> np.ndarray:
-        a = np.asarray(a, dtype=int)
-        out = np.zeros((a.size, self.n_actions))
-        out[np.arange(a.size), a.ravel()] = 1.0
-        return out
+        return _one_hot(a, self.n_actions)
+
+
+def _one_hot(i, n: int) -> np.ndarray:
+    i = np.asarray(i, dtype=int)
+    out = np.zeros((i.size, n))
+    out[np.arange(i.size), i.ravel()] = 1.0
+    return out
 
 
 def make_chain_dataset(spec: ChainMdpSpec, repeats: int, rng: Rng) -> OfflineDataset:
@@ -163,10 +163,11 @@ def make_chain_dataset(spec: ChainMdpSpec, repeats: int, rng: Rng) -> OfflineDat
     )
 
 
-def soft_value_iteration(spec: ChainMdpSpec, beta: float, tol: float = 1e-12, max_iter: int = 100_000):
-    """Fixed point of Q(s,a) = r + gamma * sum_a' softmax(beta Q(s',.)) Q(s',.)."""
+def soft_value_iteration(spec: ChainMdpSpec, beta: float):
+    """Fixed point of Q(s,a) = r + gamma * sum_a' softmax(beta Q(s',.)) Q(s',.),
+    to a sup-norm step below 1e-12 within 100,000 sweeps."""
     q = np.zeros((spec.n_states, spec.n_actions))
-    for _ in range(max_iter):
+    for _ in range(100_000):
         v = np.empty(spec.n_states)
         for s in range(spec.n_states):
             w = support_weights(q[s], beta)
@@ -176,7 +177,7 @@ def soft_value_iteration(spec: ChainMdpSpec, beta: float, tol: float = 1e-12, ma
             for a in range(spec.n_actions):
                 s2, r = spec.step(s, a)
                 q_new[s, a] = r + spec.gamma * v[s2]
-        if np.abs(q_new - q).max() < tol:
+        if np.abs(q_new - q).max() < 1e-12:
             return q_new
         q = q_new
     raise RuntimeError("soft value iteration did not converge")
@@ -271,7 +272,7 @@ def q_learning_step(
     support_next: np.ndarray,
     beta: float,
     gamma: float,
-    lam_soft: float = 0.005,
+    lam_soft: float,
 ) -> float:
     """TD regression toward r + gamma * softmax-weighted target-network value.
 
@@ -297,67 +298,35 @@ def q_learning_step(
     return loss
 
 
-def _transition_batch(dataset: OfflineDataset, idx: np.ndarray) -> dict:
-    """The q_learning_step batch of the dataset's transitions at rows idx."""
-    return {
-        key: getattr(dataset, key)[idx]
-        for key in ("states", "actions", "rewards", "next_states", "terminals")
-    }
-
-
-def train_chain_q(
-    spec: ChainMdpSpec,
+def train_q(
     dataset: OfflineDataset,
+    next_actions: np.ndarray,
     beta: float,
+    gamma: float,
     rng: Rng,
-    hidden: tuple[int, ...] = (64, 64),
-    steps: int = 8000,
-    batch: int = 128,
-    lr: float = 1e-3,
-    lam_soft: float = 0.05,
+    steps: int,
+    batch: int,
+    lr: float,
+    lam_soft: float,
 ) -> MlpModel:
-    """Fit the in-support softmax backup on a chain MDP; support = all actions."""
+    """Fit Q(s, a) by q_learning_step on uniform draws of the dataset's
+    transitions.  next_actions (M', da) are the candidate next-state actions
+    of the softmax backup, the same for every row."""
     qnet = MlpModel.init(
-        spec.n_states + spec.n_actions, 1, rng.derive(0), hidden=hidden, embed_dim=0
+        dataset.state_dim + dataset.action_dim, 1, rng.derive(0), hidden=(64, 64), embed_dim=0
     )
     q_target = qnet.copy()
     adam = AdamState.for_model(qnet, lr=lr)
     srng = rng.derive(1)
-    all_actions = np.eye(spec.n_actions)
+    support = np.broadcast_to(next_actions, (batch, *next_actions.shape))
     for _ in range(steps):
         idx = srng.integers(0, len(dataset), batch)
-        b = _transition_batch(dataset, idx)
-        support = np.repeat(all_actions[None], batch, axis=0)
-        q_learning_step(qnet, q_target, adam, b, support, beta, spec.gamma, lam_soft)
+        rows = {
+            key: getattr(dataset, key)[idx]
+            for key in ("states", "actions", "rewards", "next_states", "terminals")
+        }
+        q_learning_step(qnet, q_target, adam, rows, support, beta, gamma, lam_soft)
     return qnet
-
-
-def train_bandit_q(
-    spec: BanditSpec,
-    dataset: OfflineDataset,
-    rng: Rng,
-    hidden: tuple[int, ...] = (64, 64),
-    steps: int = 4000,
-    batch: int = 256,
-    lr: float = 1e-3,
-):
-    """Learned value head for the one-step task: pure reward regression.
-
-    With immediate termination the TD target reduces to the reward, so this is
-    q_learning_step with gamma = 0; returns a (states, actions) -> Q callable.
-    """
-    qnet = MlpModel.init(
-        spec.state_dim + spec.action_dim, 1, rng.derive(0), hidden=hidden, embed_dim=0
-    )
-    q_target = qnet.copy()
-    adam = AdamState.for_model(qnet, lr=lr)
-    srng = rng.derive(1)
-    for _ in range(steps):
-        idx = srng.integers(0, len(dataset), batch)
-        b = _transition_batch(dataset, idx)
-        support = dataset.actions[idx][:, None, :]  # unused at gamma = 0
-        q_learning_step(qnet, q_target, adam, b, support, beta=0.0, gamma=0.0)
-    return lambda states, actions: q_forward(qnet, states, actions)
 
 
 # ----------------------------------------------------------------------- QIPO

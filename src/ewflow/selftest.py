@@ -133,13 +133,13 @@ def _check_guidance_composition_identity():
     return worst < 1e-6, f"max |affine - exact| at unit scale {worst:.2e}"
 
 
-def _check_continuity(resolution=768):
+def _check_continuity():
     gmm = make_dataset("8gaussians")
     energy = EnergySpec.quadratic([0.25, 0.25], beta=1.0, center=[4.0, 0.0], classifier=True)
     worst = 0.0
     for sched in (PathSchedule.ot(), PathSchedule.vp()):
         oracle = GuidedOracle(gmm, energy, sched)
-        worst = max(worst, oracle.continuity_residual(0.5, resolution))
+        worst = max(worst, oracle.continuity_residual(0.5, 768))
     return worst < 5e-3, f"max integrated residual {worst:.2e} (budget 5e-3)"
 
 
@@ -169,15 +169,14 @@ def _check_marginal_consistency():
     return worst < 1e-4, f"max |log p_t analytic - quadrature| {worst:.2e}"
 
 
-def run_selftest(fast: bool = True) -> list[CheckResult]:
-    resolution = 768 if fast else 1024
+def run_selftest() -> list[CheckResult]:
     checks = [
         ("velocity/score round trip", _check_conversion_roundtrip),
         ("conditional velocity = path derivative", _check_cond_velocity_derivative),
         ("network gradients vs finite differences", _check_nn_gradients),
         ("marginal vs conditional loss gradients", _check_gradient_equality),
         ("guidance compositions agree at unit scale", _check_guidance_composition_identity),
-        ("guided field satisfies continuity", lambda: _check_continuity(resolution)),
+        ("guided field satisfies continuity", _check_continuity),
         ("perturbation statistics", _check_perturb_statistics),
         ("analytic vs quadrature marginals", _check_marginal_consistency),
     ]

@@ -302,9 +302,14 @@ class TrainConfig:
             raise ValueError(f"loss {self.loss!r} requires an energy specification")
         if self.loss == "cfg" and not self.energy.classifier:
             raise ValueError("classifier-pair training requires a classifier energy")
-        for name in ("steps", "log_every"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # a softmax-weighted batch needs two rows
+        for name, low in (("steps", 1), ("log_every", 1), ("batch", 2)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if self.n_data < 1:
+            raise ValueError(f"n_data must be >= 1, got {self.n_data}")
+        if self.embed_dim < 0 or self.embed_dim % 2:
+            raise ValueError(f"model.embed must be even and >= 0, got {self.embed_dim}")
         if self.loss == "ced_beta_input" and not self.beta_max > 0:
             raise ValueError(f"beta_max must be > 0 for loss ced_beta_input, got {self.beta_max:g}")
 

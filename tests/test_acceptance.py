@@ -36,7 +36,7 @@ from ewflow.rl import (
     q_forward,
     qipo_iterate,
     soft_value_iteration,
-    train_chain_q,
+    train_q,
 )
 from ewflow.rng import Rng
 from ewflow.sampling import SamplerConfig, generate
@@ -307,7 +307,7 @@ def test_criterion_10_chain_mdp_softmax_q_learning():
     spec = ChainMdpSpec(n_states=5, gamma=0.9)
     q_star = soft_value_iteration(spec, beta=1.0)
     dataset = make_chain_dataset(spec, repeats=64, rng=Rng(150))
-    qnet = train_chain_q(spec, dataset, beta=1.0, rng=Rng(151), steps=8000)
+    qnet = train_q(dataset, np.eye(2), 1.0, spec.gamma, Rng(151), steps=8000, batch=128, lr=1e-3, lam_soft=0.05)
     states = spec.one_hot(np.repeat(np.arange(5), 2))
     actions = spec.action_one_hot(np.tile(np.arange(2), 5))
     q_learned = q_forward(qnet, states, actions).reshape(5, 2)

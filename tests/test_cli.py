@@ -187,9 +187,10 @@ model.embed = 8
 """
 
 
-def test_qipo_rerun_is_byte_identical(tmp_path):
+@pytest.mark.parametrize("q_mode", ["oracle", "learned"])
+def test_qipo_rerun_is_byte_identical(tmp_path, q_mode):
     cfg = tmp_path / "qipo.cfg"
-    cfg.write_text(TINY_QIPO)
+    cfg.write_text(TINY_QIPO + f"q.mode = {q_mode}\nq.steps = 50\n")
     out = tmp_path / "q1"
     result = CliRunner().invoke(main, ["qipo", "--config", str(cfg), "--out", str(out)])
     assert result.exit_code == 0, result.output
@@ -209,14 +210,17 @@ def test_qipo_rerun_is_byte_identical(tmp_path):
     "command, key",
     [
         ("qipo", "k3"), ("qipo", "k_renew"), ("qipo", "pretrain.batch"), ("qipo", "pretrain.steps"),
-        ("qipo", "q.steps"), ("train", "steps"), ("train", "beta_max"), ("sample", "steps"),
-        ("eval", "n_ref"), ("eval", "tv_res"),
+        ("qipo", "q.steps"), ("qipo", "env.n_data"), ("qipo", "model.embed"), ("train", "steps"),
+        ("train", "beta_max"), ("train", "n_data"), ("train", "batch"), ("train", "model.embed"),
+        ("sample", "steps"), ("eval", "n_ref"), ("eval", "tv_res"),
     ],
 )
 def test_out_of_range_value_exits_2_and_writes_nothing(trained, command, key):
     root, _, out = trained
-    low = {"pretrain.batch": 2}.get(key, 1)  # a softmax-weighted batch needs two rows
+    low = {"pretrain.batch": 2, "batch": 2}.get(key, 1)  # a softmax-weighted batch needs two rows
     bad, message = low - 1, f"{key} must be >= {low}, got {low - 1}"
+    if key == "model.embed":  # the sinusoidal embedding pairs sin and cos
+        bad, message = 3, "model.embed must be even and >= 0, got 3"
     train = FAST_TRAIN
     if key == "beta_max":  # only the beta-conditioned loss divides by it
         bad, message = 0, "beta_max must be > 0 for loss ced_beta_input, got 0"
@@ -298,6 +302,7 @@ def test_compare_guidance_rerun_is_byte_identical(tmp_path):
         ("betas = 1.0, -2.0", "betas must be nonnegative, got 1, -2"),
         ("ewd_mode = beta-inptu", "unknown ewd_mode 'beta-inptu'"),
         ("betas = 0.0\newd_mode = beta-input", "needs beta_max = max(betas) > 0, got 0"),
+        ("tv_res = 0", "tv_res must be >= 1, got 0"),
     ],
 )
 def test_compare_guidance_bad_betas_or_mode_exit_2_and_write_nothing(tmp_path, line, message):

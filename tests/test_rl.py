@@ -20,8 +20,7 @@ from ewflow.rl import (
     sample_policy_actions,
     soft_value_iteration,
     support_weights,
-    train_bandit_q,
-    train_chain_q,
+    train_q,
 )
 from ewflow.rng import Rng
 
@@ -140,7 +139,7 @@ def test_chain_q_learning_converges_to_soft_value_iteration():
     spec = ChainMdpSpec()
     q_star = soft_value_iteration(spec, beta=1.0)
     ds = make_chain_dataset(spec, repeats=64, rng=Rng(19))
-    qnet = train_chain_q(spec, ds, beta=1.0, rng=Rng(20), steps=8000)
+    qnet = train_q(ds, np.eye(2), 1.0, spec.gamma, Rng(20), steps=8000, batch=128, lr=1e-3, lam_soft=0.05)
     states = spec.one_hot(np.repeat(np.arange(5), 2))
     actions = spec.action_one_hot(np.tile(np.arange(2), 5))
     q_learned = q_forward(qnet, states, actions).reshape(5, 2)
@@ -150,9 +149,9 @@ def test_chain_q_learning_converges_to_soft_value_iteration():
 def test_bandit_q_regression():
     spec = BanditSpec(w=[1.0])
     ds = make_bandit_dataset(spec, 8192, Rng(21))
-    q_fn = train_bandit_q(spec, ds, Rng(22), steps=4000)
+    qnet = train_q(ds, np.zeros((1, 1)), 0.0, 0.0, Rng(22), steps=4000, batch=256, lr=1e-3, lam_soft=0.005)
     probes = np.linspace(-2, 2, 9)[:, None]
-    got = q_fn(np.zeros((9, 1)), probes)
+    got = q_forward(qnet, np.zeros((9, 1)), probes)
     assert np.abs(got - probes[:, 0]).max() < 0.1
 
 
