@@ -33,8 +33,8 @@ from .config import (
     TRAIN_SCHEMA,
     ConfigError,
     build_checked,
-    build_energy,
     build_schedule,
+    build_target,
     load_config,
     read_manifest,
     train_config,
@@ -42,7 +42,6 @@ from .config import (
     write_json,
     write_manifest,
 )
-from .datasets import make_dataset
 from .energies import tilt_mixture
 from .grids import DensityGrid, grid_sample, grid_tv_distance
 from .metrics import sliced_wasserstein
@@ -106,8 +105,7 @@ def run_eval(cfg: dict, out_dir: str):
         if cfg[key] < 1:
             raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
     samples, _ = read_samples_csv(cfg["samples"])
-    gmm = make_dataset(cfg["dataset"])
-    energy = build_energy(cfg)
+    gmm, energy = build_target(cfg)
     sched = build_schedule(cfg)
     rng = Rng(cfg["seed"])
     report: dict = {"n_samples": len(samples)}

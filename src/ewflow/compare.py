@@ -13,12 +13,11 @@ import os
 from .config import (
     ConfigError,
     build_checked,
-    build_energy,
     build_schedule,
+    build_target,
     train_config,
     write_json,
 )
-from .datasets import make_dataset
 from .grids import grid_sample, grid_tv_distance
 from .metrics import sliced_wasserstein
 from .nn import save_checkpoint
@@ -33,16 +32,18 @@ __all__ = ["compare_guidance"]
 def compare_guidance(cfg: dict, out_dir: str):
     """Writes report.json, the checkpoints and the samples into out_dir;
     returns (report, output file names)."""
-    gmm = make_dataset(cfg["dataset"])
+    gmm, energy = build_target(cfg)
     if gmm.dim != 2:
         raise ConfigError("guidance comparison needs a 2D dataset (TV grids are 2D)")
-    energy = build_energy(cfg)
     if energy is None or not energy.classifier:
         raise ConfigError("guidance comparison requires a classifier energy (energy.classifier = true)")
     sched = build_schedule(cfg)
     betas = list(cfg["betas"])
+    tags = [f"{b:g}" for b in betas]  # a beta's checkpoint and samples files carry its tag
     if min(betas) < 0:
-        raise ConfigError(f"betas must be nonnegative, got {', '.join(f'{b:g}' for b in betas)}")
+        raise ConfigError(f"betas must be nonnegative, got {', '.join(tags)}")
+    if len(set(tags)) < len(tags):
+        raise ConfigError(f"betas must differ at 6 significant digits (file tags), got {', '.join(tags)}")
     if cfg["tv_res"] < 1:
         raise ConfigError(f"tv_res must be >= 1, got {cfg['tv_res']}")
     if cfg["ewd_mode"] not in ("per-beta", "beta-input"):

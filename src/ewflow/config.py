@@ -16,8 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import DATASETS, make_dataset
 from .energies import EnergySpec
 from .grids import DensityGrid
+from .mixtures import GaussianMixture
 from .paths import PathSchedule
 from .training import TrainConfig
 
@@ -27,6 +29,7 @@ __all__ = [
     "load_config",
     "validate_config",
     "build_energy",
+    "build_target",
     "build_schedule",
     "build_checked",
     "train_config",
@@ -87,6 +90,12 @@ def _parse_ints(s: str):
     return tuple(int(p) for p in s.split(","))
 
 
+def _parse_dataset(s: str) -> str:
+    if s not in DATASETS:
+        raise ValueError(f"unknown dataset {s!r}; available: {', '.join(sorted(DATASETS))}")
+    return s
+
+
 # schema entry: key -> (parser, default); required keys use default=...  REQUIRED
 _REQ = object()
 
@@ -113,7 +122,7 @@ _COMMON_MODEL = {
 }
 
 TRAIN_SCHEMA = {
-    "dataset": (str, _REQ),
+    "dataset": (_parse_dataset, _REQ),
     "loss": (str, _REQ),
     "steps": (int, 20_000),
     "batch": (int, 256),
@@ -156,7 +165,7 @@ QIPO_SCHEMA = {
 }
 
 COMPARE_SCHEMA = {
-    "dataset": (str, _REQ),
+    "dataset": (_parse_dataset, _REQ),
     "betas": (_parse_floats, (1.0, 4.0)),
     "steps": (int, 8_000),
     "batch": (int, 256),
@@ -172,7 +181,7 @@ COMPARE_SCHEMA = {
 }
 
 EVAL_SCHEMA = {
-    "dataset": (str, _REQ),
+    "dataset": (_parse_dataset, _REQ),
     "seed": (int, 0),
     "n_ref": (int, 20_000),
     "tv_res": (int, 64),
@@ -229,6 +238,17 @@ def build_energy(cfg: dict) -> EnergySpec | None:
     raise ConfigError(f"unknown energy.kind {kind!r}")
 
 
+def build_target(cfg: dict) -> tuple[GaussianMixture, EnergySpec | None]:
+    """The configured dataset and energy; an energy of another dimension than
+    the dataset's is a ConfigError."""
+    gmm, energy = make_dataset(cfg["dataset"]), build_energy(cfg)
+    if energy is not None and energy.dim != gmm.dim:
+        raise ConfigError(
+            f"energy.kind {energy.kind} is {energy.dim}-D but dataset {cfg['dataset']!r} is {gmm.dim}-D"
+        )
+    return gmm, energy
+
+
 def build_schedule(cfg: dict) -> PathSchedule:
     """The configured path; a value PathSchedule rejects is a ConfigError."""
     kind = cfg.get("path.kind", "ot")
@@ -272,7 +292,7 @@ def train_config(cfg: dict, **overrides) -> TrainConfig:
     `log_every`) leaves TrainConfig's default."""
     fields = {field: cfg[key] for key, field in _TRAIN_FIELDS.items() if key in cfg}
     fields.update(
-        sched=build_schedule(cfg), energy=build_energy(cfg), hidden=tuple(cfg["model.hidden"])
+        sched=build_schedule(cfg), energy=build_target(cfg)[1], hidden=tuple(cfg["model.hidden"])
     )
     return build_checked(TrainConfig, **{**fields, **overrides})
 

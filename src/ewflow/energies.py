@@ -87,8 +87,14 @@ class EnergySpec:
         shift = float(table.values.min()) if classifier else 0.0
         return EnergySpec("grid", beta, table=table, shift=shift, classifier=classifier)
 
+    @property
+    def dim(self) -> int:
+        return 2 if self.kind == "grid" else len(self.a if self.kind == "linear" else self.diag)
+
     def __call__(self, x) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(x, dtype=float))
+        if pts.shape[1] != self.dim:
+            raise ValueError(f"a {self.dim}-D energy cannot score {pts.shape[1]}-D points")
         if self.kind == "linear":
             raw = pts @ self.a
         elif self.kind == "quadratic":
@@ -140,6 +146,8 @@ def tilt_mixture(
     """
     if not energy.has_closed_tilt():
         raise ValueError(f"no closed-form tilt for energy kind {energy.kind!r}")
+    if energy.dim != gmm.dim:
+        raise ValueError(f"a {energy.dim}-D energy cannot tilt a {gmm.dim}-D mixture")
     b = energy.beta if beta is None else float(beta)
     if b == 0.0:
         return gmm, 0.0

@@ -171,7 +171,9 @@ def _assemble_input(model: MlpModel, x, t, context, beta_norm, workspace) -> np.
     if model.context_dim > 0:
         if context is None:
             raise ValueError("model expects a context vector")
-        context = np.atleast_2d(np.asarray(context, dtype=float))
+        context = np.asarray(context, dtype=float)
+        if context.ndim == 1:  # one context for every row
+            context = np.broadcast_to(context, (n, len(context)))
         if context.shape != (n, model.context_dim):
             raise ValueError(f"context shape {context.shape} != {(n, model.context_dim)}")
         parts.append(context)
@@ -204,7 +206,8 @@ def forward(
 def forward_cached(model: MlpModel, x, t=None, context=None, beta_norm=None, workspace=None):
     """Forward pass returning (output, cache) for a subsequent backward call.
 
-    t and beta_norm are scalars, embedded once for all rows, or per-row arrays.
+    t and beta_norm are scalars, embedded once for all rows, or per-row arrays;
+    context is one (d,) vector for all rows, or (n, d).
     The input columns and each hidden layer's pre-activation, sigmoid and
     activation go into buffers of the optional workspace (a dict, reused by
     every call with the same row count), or into fresh arrays without one;

@@ -48,11 +48,10 @@ class OfflineDataset:
     actions: np.ndarray
     rewards: np.ndarray
     next_states: np.ndarray
-    terminals: np.ndarray
 
     def __post_init__(self):
         n = len(self.states)
-        for name in ("actions", "rewards", "next_states", "terminals"):
+        for name in ("actions", "rewards", "next_states"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} length != number of states")
         if not all(
@@ -86,10 +85,6 @@ class BanditSpec:
     def action_dim(self) -> int:
         return len(self.w)
 
-    @property
-    def state_dim(self) -> int:
-        return 1
-
     def q_values(self, states, actions) -> np.ndarray:
         return np.asarray(actions, dtype=float) @ self.w
 
@@ -110,7 +105,7 @@ def make_bandit_dataset(spec: BanditSpec, n: int, rng: Rng) -> OfflineDataset:
     actions = rng.normal((n, spec.action_dim))
     states = np.zeros((n, 1))
     rewards = spec.q_values(states, actions)
-    return OfflineDataset(states, actions, rewards, states.copy(), np.ones(n, dtype=bool))
+    return OfflineDataset(states, actions, rewards, states.copy())
 
 
 @dataclass(frozen=True)
@@ -128,55 +123,37 @@ class ChainMdpSpec:
     def n_actions(self) -> int:
         return 2
 
-    def step(self, s: int, a: int) -> tuple[int, float]:
-        s2 = min(s + 1, self.n_states - 1) if a == 1 else max(s - 1, 0)
-        r = 1.0 if (s == self.n_states - 1 and a == 1) else 0.0
-        return s2, r
+    def step(self, s, a) -> tuple[np.ndarray, np.ndarray]:
+        """Next states and rewards, elementwise over state and action indices."""
+        s, right = np.asarray(s), np.asarray(a) == 1
+        s2 = np.clip(np.where(right, s + 1, s - 1), 0, self.n_states - 1)
+        return s2, ((s == self.n_states - 1) & right).astype(float)
 
     def one_hot(self, s) -> np.ndarray:
-        return _one_hot(s, self.n_states)
+        return np.eye(self.n_states)[s]
 
     def action_one_hot(self, a) -> np.ndarray:
-        return _one_hot(a, self.n_actions)
-
-
-def _one_hot(i, n: int) -> np.ndarray:
-    i = np.asarray(i, dtype=int)
-    out = np.zeros((i.size, n))
-    out[np.arange(i.size), i.ravel()] = 1.0
-    return out
+        return np.eye(self.n_actions)[a]
 
 
 def make_chain_dataset(spec: ChainMdpSpec, repeats: int, rng: Rng) -> OfflineDataset:
     """Every (state, action) pair, repeated; uniform behavior coverage."""
-    pairs = [(s, a) for s in range(spec.n_states) for a in range(spec.n_actions)]
-    order = rng.permutation(len(pairs) * repeats) % len(pairs)
-    s = np.array([pairs[i][0] for i in order])
-    a = np.array([pairs[i][1] for i in order])
-    nxt = np.empty_like(s)
-    rew = np.empty(len(s))
-    for i in range(len(s)):
-        nxt[i], rew[i] = spec.step(int(s[i]), int(a[i]))
-    return OfflineDataset(
-        spec.one_hot(s), spec.action_one_hot(a), rew, spec.one_hot(nxt),
-        np.zeros(len(s), dtype=bool),
-    )
+    n_pairs = spec.n_states * spec.n_actions
+    s, a = divmod(rng.permutation(n_pairs * repeats) % n_pairs, spec.n_actions)
+    nxt, rew = spec.step(s, a)
+    return OfflineDataset(spec.one_hot(s), spec.action_one_hot(a), rew, spec.one_hot(nxt))
 
 
 def soft_value_iteration(spec: ChainMdpSpec, beta: float):
     """Fixed point of Q(s,a) = r + gamma * sum_a' softmax(beta Q(s',.)) Q(s',.),
     to a sup-norm step below 1e-12 within 100,000 sweeps."""
+    s2, r = spec.step(*np.indices((spec.n_states, spec.n_actions)))
     q = np.zeros((spec.n_states, spec.n_actions))
     for _ in range(100_000):
-        v = np.empty(spec.n_states)
-        for s in range(spec.n_states):
-            w = support_weights(q[s], beta)
-            v[s] = w @ q[s]
-        q_new = np.empty_like(q)
-        for s in range(spec.n_states):
-            for a in range(spec.n_actions):
-                s2, r = spec.step(s, a)
-                q_new[s, a] = r + spec.gamma * v[s2]
+        w = support_weights(q, beta)
+        # A dot product per state; (w * q).sum(axis=1) rounds differently.
+        v = (w[:, None, :] @ q[:, :, None])[:, 0, 0]
+        q_new = r + spec.gamma * v[s2]
         if np.abs(q_new - q).max() < 1e-12:
             return q_new
         q = q_new
@@ -281,13 +258,12 @@ def q_learning_step(
     """
     states, actions = batch["states"], batch["actions"]
     rewards, next_states = batch["rewards"], batch["next_states"]
-    terminals = batch["terminals"]
     b, m_sup, da = support_next.shape
     flat_states = np.repeat(next_states, m_sup, axis=0)
     q_next = q_forward(q_target, flat_states, support_next.reshape(-1, da)).reshape(b, m_sup)
     w = support_weights(q_next, beta)
     v_next = (w * q_next).sum(axis=1)
-    y = rewards + gamma * v_next * (1.0 - terminals.astype(float))
+    y = rewards + gamma * v_next
 
     inputs = np.concatenate([states, actions], axis=1)
     pred, cache = forward_cached(qnet, inputs)
@@ -323,7 +299,7 @@ def train_q(
         idx = srng.integers(0, len(dataset), batch)
         rows = {
             key: getattr(dataset, key)[idx]
-            for key in ("states", "actions", "rewards", "next_states", "terminals")
+            for key in ("states", "actions", "rewards", "next_states")
         }
         q_learning_step(qnet, q_target, adam, rows, support, beta, gamma, lam_soft)
     return qnet
@@ -395,7 +371,6 @@ def qipo_iterate(
     support: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     eval_rows = []
     renewals = 0
-    sampler_policy = policy_target.copy()
     epoch_rng = rng.derive(1)
     for k in range(1, cfg.k3 + 1):
         renew = (k - 1) % cfg.k_renew == 0
@@ -403,7 +378,6 @@ def qipo_iterate(
             # Freeze the averaged policy for this renewal round so every
             # batch's support reflects the same refinement stage.
             sampler_policy = policy_target.copy()
-            support.clear()
             renewals += 1
         for bi, idx in enumerate(batches):
             states = dataset.states[idx]

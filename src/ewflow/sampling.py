@@ -129,13 +129,8 @@ def cfg_compose(score_uncond: np.ndarray, score_cond: np.ndarray, beta: float) -
 
 
 # Context tokens of the two heads of a classifier-pair model.
-_CTX_NULL = np.array([1.0, 0.0])
-_CTX_COND = np.array([0.0, 1.0])
-
-
-def _row_context(context, n: int):
-    """A (d,) context shared by all n rows, or an (n, d) one per row, as (n, d)."""
-    return None if context is None else np.broadcast_to(context, (n, np.shape(context)[-1]))
+CTX_NULL = np.array([1.0, 0.0])
+CTX_COND = np.array([0.0, 1.0])
 
 
 def _network_fn(model: MlpModel, kind: str, meta: dict, guidance_beta, context):
@@ -151,8 +146,8 @@ def _network_fn(model: MlpModel, kind: str, meta: dict, guidance_beta, context):
         beta = 1.0 if guidance_beta is None else float(guidance_beta)
 
         def net(x, t):
-            nu = forward(model, x, t, context=_row_context(_CTX_NULL, len(x)), workspace=ws)
-            nc = forward(model, x, t, context=_row_context(_CTX_COND, len(x)), workspace=ws)
+            nu = forward(model, x, t, context=CTX_NULL, workspace=ws)
+            nc = forward(model, x, t, context=CTX_COND, workspace=ws)
             return cfg_compose(nu, nc, beta)
 
         return net
@@ -168,8 +163,7 @@ def _network_fn(model: MlpModel, kind: str, meta: dict, guidance_beta, context):
         raise ValueError(f"a plain {kind} checkpoint takes no guidance beta")
 
     def net(x, t):
-        ctx = _row_context(context, len(x))
-        return forward(model, x, t, context=ctx, beta_norm=bn, workspace=ws)
+        return forward(model, x, t, context=context, beta_norm=bn, workspace=ws)
 
     return net
 

@@ -17,7 +17,7 @@ from .nn import MlpModel, backward, forward, forward_cached
 from .oracle import GuidedOracle
 from .paths import PathSchedule, T_EPS, cond_velocity, perturb, score_from_velocity, velocity_from_score
 from .rng import Rng
-from .training import _conditional_exact, _marginal_exact
+from .training import loss_ced_exact, loss_cefm_exact, loss_ed_exact, loss_efm_exact
 
 __all__ = ["CheckResult", "run_selftest"]
 
@@ -100,11 +100,12 @@ def _check_nn_gradients():
     return worst < 1e-4, f"max relative gradient error {worst:.2e} over 20 probes"
 
 
-def _gradient_equality(kind: str, oracle, model, t_nodes):
-    fa = _marginal_exact(model, oracle, t_nodes, kind)[1]
-    fb = _conditional_exact(model, oracle, t_nodes, kind)[1]
-    rel = float(np.linalg.norm(fa - fb) / max(np.linalg.norm(fa), 1e-300))
-    return rel
+def _gradient_equality(marginal_loss, conditional_loss, oracle, model, t_nodes):
+    fa, fb = (  # each loss returns (value, (grads_w, grads_b))
+        np.concatenate([g.ravel() for layers in loss(model, oracle, t_nodes)[1] for g in layers])
+        for loss in (marginal_loss, conditional_loss)
+    )
+    return float(np.linalg.norm(fa - fb) / max(np.linalg.norm(fa), 1e-300))
 
 
 def _check_gradient_equality():
@@ -113,8 +114,8 @@ def _check_gradient_equality():
     energy = EnergySpec.quadratic([0.25, 0.25], beta=1.0, center=[4.0, 0.0], classifier=True)
     oracle = GuidedOracle(gmm, energy, PathSchedule.ot(), grid_res=32)
     model = MlpModel.init(2, 2, rng, hidden=(16,), embed_dim=8)
-    rel_flow = _gradient_equality("velocity", oracle, model, [0.5])
-    rel_score = _gradient_equality("score", oracle, model, [0.5])
+    rel_flow = _gradient_equality(loss_efm_exact, loss_cefm_exact, oracle, model, [0.5])
+    rel_score = _gradient_equality(loss_ed_exact, loss_ced_exact, oracle, model, [0.5])
     ok = rel_flow < 1e-5 and rel_score < 1e-5
     return ok, f"relative gradient gap: flow {rel_flow:.2e}, score {rel_score:.2e}"
 

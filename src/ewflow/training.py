@@ -29,7 +29,7 @@ from .nn import AdamState, MlpModel, adam_step, backward, forward_cached
 from .oracle import GuidedOracle
 from .paths import T_EPS, PathSchedule, cond_velocity, perturb, velocity_from_score
 from .rng import Rng
-from .sampling import _CTX_COND, _CTX_NULL, _row_context
+from .sampling import CTX_COND, CTX_NULL
 
 __all__ = [
     "WeightedBatch",
@@ -157,12 +157,10 @@ def loss_cfg_pair(model: MlpModel, batch: WeightedBatch, labels: np.ndarray, sch
     n = len(batch.x0)
     mask = labels.astype(float)
     loss_u, grad_u = loss_ced(
-        model, replace(batch, weights=np.full(n, 1.0 / n)), sched,
-        context=_row_context(_CTX_NULL, n),
+        model, replace(batch, weights=np.full(n, 1.0 / n)), sched, context=CTX_NULL
     )
     loss_c, grad_c = loss_ced(
-        model, replace(batch, weights=mask / max(mask.sum(), 1.0)), sched,
-        context=_row_context(_CTX_COND, n),
+        model, replace(batch, weights=mask / max(mask.sum(), 1.0)), sched, context=CTX_COND
     )
     return loss_u, loss_c, grad_u + grad_c
 

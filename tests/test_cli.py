@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 from ewflow.cli import COMMANDS, main, replay_manifest
 from ewflow.config import TRAIN_SCHEMA, build_schedule, parse_config_text, validate_config
+from ewflow.grids import DensityGrid
 from ewflow.nn import load_checkpoint
 from ewflow.rng import Rng
 from ewflow.sampling import SamplerConfig, generate, read_samples_csv, write_samples_csv
@@ -303,6 +304,8 @@ def test_compare_guidance_rerun_is_byte_identical(tmp_path):
         ("ewd_mode = beta-inptu", "unknown ewd_mode 'beta-inptu'"),
         ("betas = 0.0\newd_mode = beta-input", "needs beta_max = max(betas) > 0, got 0"),
         ("tv_res = 0", "tv_res must be >= 1, got 0"),
+        ("betas = 1.0, 1.0", "betas must differ at 6 significant digits (file tags), got 1, 1"),
+        ("betas = 1, 1.0000001", "betas must differ at 6 significant digits (file tags), got 1, 1"),
     ],
 )
 def test_compare_guidance_bad_betas_or_mode_exit_2_and_write_nothing(tmp_path, line, message):
@@ -314,6 +317,106 @@ def test_compare_guidance_bad_betas_or_mode_exit_2_and_write_nothing(tmp_path, l
     result = CliRunner().invoke(main, ["compare-guidance", "--config", str(cfg), "--out", str(dest)])
     assert result.exit_code == 2, result.output
     assert message in result.output
+    assert not dest.exists() or not any(dest.iterdir())
+
+
+def _save_energy_table(path) -> None:
+    """A 32 x 32 table of the bowl E(x) = |x - (2, 0)|^2 / 8 over bimodal2d's support."""
+    bowl = lambda p: 0.125 * ((p - [2.0, 0.0]) ** 2).sum(-1)  # noqa: E731
+    DensityGrid.from_fn(bowl, [(-4.0, 4.0), (-3.0, 3.0)], 32, normalize=False).save(path)
+
+
+def test_grid_energy_trains_evaluates_and_reruns(tmp_path):
+    table = tmp_path / "energy.grid"
+    _save_energy_table(table)
+    energy = f"energy.kind = grid\nenergy.table = {table}\n"
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(
+        FAST_TRAIN.replace("dataset = gauss1d", "dataset = bimodal2d")
+        .replace("energy.kind = linear\nenergy.a = 1.0\n", energy)
+        .replace("steps = 120", "steps = 40")
+    )
+    out = tmp_path / "train"
+    result = CliRunner().invoke(main, ["train", "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    again = tmp_path / "rerun"
+    result = CliRunner().invoke(
+        main, ["rerun", "--manifest", str(out / "manifest.json"), "--out", str(again)]
+    )
+    assert result.exit_code == 0, result.output
+    assert (again / "checkpoint.bin").read_bytes() == (out / "checkpoint.bin").read_bytes()
+    samples = tmp_path / "samples"
+    result = CliRunner().invoke(
+        main,
+        ["sample", "--checkpoint", str(out / "checkpoint.bin"), "-n", "200", "--steps", "5",
+         "--out", str(samples)],
+    )
+    assert result.exit_code == 0, result.output
+    ecfg = tmp_path / "eval.cfg"
+    ecfg.write_text(f"dataset = bimodal2d\n{energy}n_ref = 500\ntv_res = 16\n")
+    result = CliRunner().invoke(
+        main,
+        ["eval", "--config", str(ecfg), "--samples", str(samples / "samples.csv"),
+         "--out", str(tmp_path / "eval")],
+    )
+    assert result.exit_code == 0, result.output
+    report = json.loads((tmp_path / "eval" / "report.json").read_text())
+    assert np.isfinite(report["tv"]) and np.isfinite(report["sliced_wasserstein"])
+
+
+@pytest.mark.parametrize(
+    "command, lines, message",
+    [
+        ("train", ["dataset = nope"], "{loc}: invalid value for 'dataset': unknown dataset 'nope'"),
+        ("eval", ["dataset = nope"], "{loc}: invalid value for 'dataset': unknown dataset 'nope'"),
+        (
+            "train", ["energy.kind = quadratic", "energy.diag = 1.0, 1.0", "energy.center = 0.0, 3.0"],
+            "energy.kind quadratic is 2-D but dataset 'gauss1d' is 1-D",
+        ),
+        (
+            "train",
+            ["dataset = bimodal2d", "energy.kind = quadratic", "energy.diag = 0.25", "energy.center = 2.0"],
+            "energy.kind quadratic is 1-D but dataset 'bimodal2d' is 2-D",
+        ),
+        (
+            "eval",
+            ["dataset = bimodal2d", "energy.kind = quadratic", "energy.diag = 0.25", "energy.center = 2.0"],
+            "energy.kind quadratic is 1-D but dataset 'bimodal2d' is 2-D",
+        ),
+        (
+            "compare-guidance", ["energy.diag = 0.25", "energy.center = 2.0"],
+            "energy.kind quadratic is 1-D but dataset 'bimodal2d' is 2-D",
+        ),
+        ("train", ["energy.a = 1.0, 0.0"], "energy.kind linear is 2-D but dataset 'gauss1d' is 1-D"),
+        (
+            "train", ["energy.kind = grid", "energy.table = {table}"],
+            "energy.kind grid is 2-D but dataset 'gauss1d' is 1-D",
+        ),
+    ],
+    ids=[
+        "train-unknown-dataset", "eval-unknown-dataset", "train-2d-quadratic-on-1d",
+        "train-1d-quadratic-on-2d", "eval-1d-quadratic-on-2d", "compare-1d-quadratic-on-2d",
+        "train-2d-linear-on-1d", "train-grid-on-1d",
+    ],
+)
+def test_wrong_target_exits_2_and_writes_nothing(tmp_path, command, lines, message):
+    table = tmp_path / "energy.grid"
+    _save_energy_table(table)
+    lines = [line.format(table=table) for line in lines]
+    keys = {line.split(" =")[0] for line in lines}
+    text = {"train": FAST_TRAIN, "eval": "dataset = gauss1d", "compare-guidance": TINY_COMPARE}[command]
+    kept = [row for row in text.splitlines() if row.split(" =")[0] not in keys]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(kept + lines) + "\n")
+    args = ["--config", str(cfg)]
+    if command == "eval":
+        samples = tmp_path / "samples.csv"
+        write_samples_csv(samples, np.zeros((4, 1)), {})
+        args += ["--samples", str(samples)]
+    dest = tmp_path / "out"
+    result = CliRunner().invoke(main, [command, *args, "--out", str(dest)])
+    assert result.exit_code == 2, result.output
+    assert message.format(loc=f"{cfg}:{len(kept) + 1}") in result.output
     assert not dest.exists() or not any(dest.iterdir())
 
 

@@ -78,6 +78,23 @@ def test_shift_changes_z_but_not_tilted_law():
     assert np.allclose(t0.variances, t1.variances)
 
 
+@pytest.mark.parametrize(
+    "energy, data, message",
+    [
+        (EnergySpec.quadratic([1.0, 1.0], beta=1.0, center=[0.0, 3.0]), "gauss1d", "a 2-D energy"),
+        (EnergySpec.quadratic([0.25], beta=1.0, center=[2.0]), "bimodal2d", "a 1-D energy"),
+        (EnergySpec.linear([1.0, 0.0], beta=1.0), "bimodal1d", "a 2-D energy"),
+    ],
+    ids=["quadratic-2d-on-1d", "quadratic-1d-on-2d", "linear-2d-on-1d"],
+)
+def test_energy_of_another_dimension_names_both(energy, data, message):
+    gmm = make_dataset(data)
+    with pytest.raises(ValueError, match=f"{message} cannot score {gmm.dim}-D points"):
+        energy(np.zeros((3, gmm.dim)))
+    with pytest.raises(ValueError, match=f"{message} cannot tilt a {gmm.dim}-D mixture"):
+        tilt_mixture(gmm, energy)
+
+
 def test_classifier_energy_validation():
     with pytest.raises(ValueError, match="linear"):
         EnergySpec("linear", 1.0, a=[1.0], classifier=True)

@@ -16,6 +16,9 @@ by module and name, and fails if any of those names is gone.
 A fourth check fails on a config key that nothing reads: every key of the
 command schemas must appear as a string somewhere under src/ outside the
 schema dict literals themselves.
+
+A fifth check fails on a module under src/ that imports another module's
+underscore (private) name.
 """
 
 import ast
@@ -159,3 +162,15 @@ def test_dead_config_key_check_catches_a_dropped_train_field():
     assert texts[config].count(entry) == 1
     texts[config] = texts[config].replace(entry, "")
     assert _dead_config_keys(texts) == ["n_data"]
+
+
+def test_no_module_imports_another_modules_private_names():
+    private = [
+        f"{path.relative_to(ROOT)}:{node.lineno} {alias.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, "private names imported from sibling modules: " + ", ".join(private)

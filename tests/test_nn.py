@@ -242,6 +242,13 @@ def test_input_validation():
         forward(no_ctx, np.zeros((3, 5)), np.full(3, 0.5))
 
 
+def test_one_context_row_for_many_rows_is_refused():
+    # one context for all rows is a (d,) vector; a (1, d) row is not broadcast
+    model = MlpModel.init(2, 2, Rng(24), hidden=(8,), embed_dim=4, context_dim=3)
+    with pytest.raises(ValueError, match=r"context shape \(1, 3\) != \(5, 3\)"):
+        forward(model, np.zeros((5, 2)), 0.5, context=np.zeros((1, 3)))
+
+
 def _reference_forward_cached(model, x, t, context, beta_norm):
     """Forward pass written out op by op: per-row embeddings, one concatenated
     input, z = h @ w + b and SiLU z * 1/(1 + exp(-z)), with nothing reused."""
@@ -288,7 +295,7 @@ def _conditioned_model(embed_dim, context_dim, accepts_beta, seed=30):
 
 
 @pytest.mark.parametrize("beta_kind", ["none", "scalar", "rows"])
-@pytest.mark.parametrize("context_kind", ["none", "shared", "rows"])
+@pytest.mark.parametrize("context_kind", ["none", "shared", "vector", "rows"])
 @pytest.mark.parametrize("embed_dim", [8, 32, 64])
 def test_workspace_forward_is_bit_identical_to_fresh_path(embed_dim, context_kind, beta_kind):
     n = 9
@@ -297,6 +304,7 @@ def test_workspace_forward_is_bit_identical_to_fresh_path(embed_dim, context_kin
     context = {
         "none": None,
         "shared": np.broadcast_to(Rng(32).normal(3), (n, 3)),
+        "vector": Rng(32).normal(3),
         "rows": Rng(33).normal((n, 3)),
     }[context_kind]
     beta_norm = {"none": None, "scalar": 0.7, "rows": Rng(34).uniform(0.0, 1.0, n)}[beta_kind]

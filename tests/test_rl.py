@@ -32,7 +32,6 @@ def test_bandit_dataset_shapes_and_rewards():
     ds = make_bandit_dataset(spec, 512, Rng(0))
     assert ds.actions.shape == (512, 2)
     assert np.allclose(ds.rewards, ds.actions @ np.array([1.0, -2.0]))
-    assert np.all(ds.terminals)
 
 
 def test_behavior_pretrain_matches_behavior_moments():
@@ -47,10 +46,7 @@ def test_behavior_pretrain_matches_behavior_moments():
 def test_behavior_pretrain_degenerate_single_action():
     n = 4096
     a_star = 0.7
-    ds = OfflineDataset(
-        np.zeros((n, 1)), np.full((n, 1), a_star), np.zeros(n), np.zeros((n, 1)),
-        np.ones(n, dtype=bool),
-    )
+    ds = OfflineDataset(np.zeros((n, 1)), np.full((n, 1), a_star), np.zeros(n), np.zeros((n, 1)))
     policy = behavior_pretrain(ds, SCHED, Rng(5), steps=5000)
     acts = sample_policy_actions(policy, "score", SCHED, np.zeros((1, 1)), Rng(6), 2000)[0]
     assert abs(acts.mean() - a_star) < 0.1
@@ -62,7 +58,7 @@ def test_behavior_pretrain_conditions_on_state():
     rng = Rng(7)
     states = np.where(rng.uniform(size=(n, 1)) < 0.5, -1.0, 1.0)
     actions = 2.0 * states + 0.2 * rng.normal((n, 1))
-    ds = OfflineDataset(states, actions, np.zeros(n), states.copy(), np.ones(n, dtype=bool))
+    ds = OfflineDataset(states, actions, np.zeros(n), states.copy())
     policy = behavior_pretrain(ds, SCHED, Rng(8), steps=6000)
     lo = sample_policy_actions(policy, "score", SCHED, np.array([[-1.0]]), Rng(9), 1000)[0]
     hi = sample_policy_actions(policy, "score", SCHED, np.array([[1.0]]), Rng(10), 1000)[0]
@@ -108,7 +104,6 @@ def test_q_learning_td_targets():
         "actions": rng.normal((16, 1)),
         "rewards": rng.normal(16),
         "next_states": rng.normal((16, 1)),
-        "terminals": np.zeros(16, dtype=bool),
     }
     support = rng.normal((16, 1, 1))  # single support action
     # gamma = 0: target is exactly the reward
