@@ -106,6 +106,8 @@ def run_eval(cfg: dict, out_dir: str):
             raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
     samples, _ = read_samples_csv(cfg["samples"])
     gmm, energy = build_target(cfg)
+    if samples.shape[1] != gmm.dim:
+        raise ConfigError(f"samples are {samples.shape[1]}-D but dataset {cfg['dataset']!r} is {gmm.dim}-D")
     sched = build_schedule(cfg)
     rng = Rng(cfg["seed"])
     report: dict = {"n_samples": len(samples)}
@@ -243,7 +245,13 @@ def replay_manifest(manifest_path: str, out_dir: str):
     manifest = read_manifest(manifest_path)
     if manifest.command not in COMMANDS:
         raise ConfigError(f"manifest command {manifest.command!r} is not replayable")
-    cfg = {k: tuple(v) if isinstance(v, list) else v for k, v in manifest.config.items()}
+    cfg, schema = dict(manifest.config), COMMANDS[manifest.command][0]
+    if schema is not None:
+        # the recorded values go through the schema's parsers as a config file's
+        # text does; flags and keys the schema has dropped pass through as recorded
+        text = {k: ",".join(map(str, v)) if isinstance(v, list) else str(v)
+                for k, v in cfg.items() if k in schema and v is not None}
+        cfg.update(validate_config(text, {}, schema, source=manifest_path))
     return execute(manifest.command, cfg, out_dir)
 
 

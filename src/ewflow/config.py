@@ -194,14 +194,13 @@ def validate_config(values: dict, lines: dict, schema: dict, source: str = "<con
     """Type-check against a schema; unknown keys and missing required keys fail."""
     out = {}
     for key, value in values.items():
+        loc = f"{source}:{lines.get(key, '?')}" if lines else source
         if key not in schema:
-            loc = f"{source}:{lines.get(key, '?')}" if lines else source
             raise ConfigError(f"{loc}: unknown key {key!r}")
         parser, _ = schema[key]
         try:
             out[key] = parser(value)
         except Exception as exc:
-            loc = f"{source}:{lines.get(key, '?')}" if lines else source
             raise ConfigError(f"{loc}: invalid value for {key!r}: {exc}") from None
     for key, (_, default) in schema.items():
         if key in out:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from itertools import zip_longest
 
@@ -131,14 +131,9 @@ class MlpModel:
         return self.params.copy()
 
     def arch(self) -> dict:
-        return {
-            "in_dim": self.in_dim,
-            "out_dim": self.out_dim,
-            "hidden": list(self.hidden),
-            "embed_dim": self.embed_dim,
-            "context_dim": self.context_dim,
-            "accepts_beta": self.accepts_beta,
-        }
+        """Every constructor field but params: what a checkpoint header records."""
+        return {f.name: list(self.hidden) if f.name == "hidden" else getattr(self, f.name)
+                for f in fields(self) if f.name != "params"}
 
 
 def _buffer(workspace: dict | None, key: str, shape: tuple) -> np.ndarray:
@@ -334,14 +329,7 @@ def load_checkpoint(path):
     if header.get("format") != "ewflow-mlp-v1":
         raise ValueError(f"unrecognized checkpoint format in {path}")
     arch = header["arch"]
-    model = MlpModel(
-        arch["in_dim"],
-        arch["out_dim"],
-        tuple(arch["hidden"]),
-        arch["embed_dim"],
-        arch["context_dim"],
-        arch["accepts_beta"],
-    )
+    model = MlpModel(**{**arch, "hidden": tuple(arch["hidden"])})
     if header["n_params"] != model.n_params or len(blob) != model.n_params:
         raise ValueError(
             f"checkpoint parameter count {len(blob)} does not match architecture "

@@ -81,9 +81,8 @@ def _check_nn_gradients():
     gw, _ = model.layer_views(backward(model, cache, up))
     h = 1e-5
     worst = 0.0
-    probes = 0
     prng = Rng(104)
-    while probes < 20:
+    for _ in range(20):
         li = int(prng.integers(0, len(model.weights)))
         r = int(prng.integers(0, model.weights[li].shape[0]))
         c = int(prng.integers(0, model.weights[li].shape[1]))
@@ -96,7 +95,6 @@ def _check_nn_gradients():
         fd = (fp - fm) / (2 * h)
         rel = abs(fd - gw[li][r, c]) / max(abs(fd), 1e-8)
         worst = max(worst, rel)
-        probes += 1
     return worst < 1e-4, f"max relative gradient error {worst:.2e} over 20 probes"
 
 

@@ -166,10 +166,11 @@ def loss_cfg_pair(model: MlpModel, batch: WeightedBatch, labels: np.ndarray, sch
 
 
 # ---------------------------------------------------------------------------
-# Exact (quadrature) losses over the oracle's node set.  The marginal-form and
-# conditional-form losses differ by a model-independent constant but must have
-# identical parameter gradients; the two implementations below share nothing
-# beyond the node set, so comparing their gradients is a meaningful check.
+# Exact (quadrature) losses over the oracle's node set, returning (loss,
+# (grads_w, grads_b)).  The marginal form (the guided field from the oracle) and
+# the conditional form (the node grid contracted with its own per-axis kernels,
+# Ky W Kx^T) differ by a model-independent constant but must have identical
+# parameter gradients; sharing nothing beyond the node set, they check each other.
 # ---------------------------------------------------------------------------
 
 
@@ -193,18 +194,12 @@ def _marginal_exact(model: MlpModel, oracle: GuidedOracle, t_nodes, kind: str):
         loss, grad = _weighted_field_loss(model, nodes.points, target, w, float(t))
         total += loss
         acc += grad
-    return total, acc
-
-
-def _per_layer(model: MlpModel, loss_and_grad):
-    """(loss, (grads_w, grads_b)): the flat gradient as per-layer views."""
-    loss, grad = loss_and_grad
-    return loss, model.layer_views(grad)
+    return total, model.layer_views(acc)
 
 
 def loss_efm_exact(model: MlpModel, oracle: GuidedOracle, t_nodes):
     """Marginal-form flow loss: weighted squared error against the guided field."""
-    return _per_layer(model, _marginal_exact(model, oracle, t_nodes, "velocity"))
+    return _marginal_exact(model, oracle, t_nodes, "velocity")
 
 
 def loss_ed_exact(model: MlpModel, oracle: GuidedOracle, t_nodes):
@@ -214,37 +209,49 @@ def loss_ed_exact(model: MlpModel, oracle: GuidedOracle, t_nodes):
     score under the package's score parameterization; weights carry the same
     sigma_t^2 time factor as loss_ced.
     """
-    return _per_layer(model, _marginal_exact(model, oracle, t_nodes, "score"))
+    return _marginal_exact(model, oracle, t_nodes, "score")
+
+
+def _kernel_moments(node_set, w: np.ndarray, mu: float, sig2: float):
+    """(s0, s1, s2) at each node x: sums over the nodes x0 of
+    w(x0) N(x; mu x0, sig2 I) times 1, x0 and |x0|^2.
+
+    Each sum contracts a weight grid (W, W x0_a or W |x0|^2, with W = w on
+    the (ny, nx) grid) with one kernel k[i, j] = N(g_i; mu g_j, sig2) per axis:
+    Ky W Kx^T in 2D, K w in 1D.  Kernels are direct differences (an expanded
+    square loses digits to cancellation) built in row blocks (node_blocks).
+    """
+    out = np.stack([w, *(w * node_set.points.T), w * (node_set.points**2).sum(-1)])
+    out = out.reshape(len(out), *[len(g) for g in reversed(node_set.axes)])
+    for g in node_set.axes:  # contract the last (fastest) axis, then rotate it to the front
+        res = np.empty_like(out)
+        for sl in node_blocks(len(g), len(g)):
+            kern = np.exp(-0.5 * (g[sl, None] - mu * g) ** 2 / sig2) / np.sqrt(2.0 * np.pi * sig2)
+            res[..., sl] = out @ kern.T
+        out = np.moveaxis(res, -1, 1)
+    out = out.reshape(len(out), -1)
+    return out[0], out[1:-1].T, out[-1]
 
 
 def _conditional_exact(model: MlpModel, oracle: GuidedOracle, t_nodes, kind: str):
     """Double-quadrature conditional loss over (x0 nodes) x (x probes).
 
     Per-datum targets are affine in x0, so node sums reduce to zeroth, first,
-    and second moments under the raw (non-log) Boltzmann-weighted kernel,
-    filled over blocks of probe rows (grids.node_blocks).
+    and second moments under the raw (non-log) Boltzmann-weighted kernel: separable
+    contractions over the node grid's axes (_kernel_moments), not oracle calls.
     """
     node_set = oracle.nodes
     nodes, e = node_set.points, node_set.energy
-    n, dim = nodes.shape
-    sq_norm = (nodes**2).sum(-1)
     shifted = np.exp(node_set.log_mass) * np.exp(-oracle.energy.beta * (e - e.min()))
-    bw = shifted / shifted.sum()  # mass_m exp(-beta E_m) / Z
+    w = shifted / shifted.sum() * node_set.cell_area  # mass_m exp(-beta E_m) dx / Z
     total = 0.0
     acc = np.zeros(model.n_params)
-    s0, s1, s2 = np.empty(n), np.empty_like(nodes), np.empty(n)
     for t in t_nodes:
         mu = float(oracle.sched.mu(t))
         sig2 = float(oracle.sched.sigma(t)) ** 2
         a_coef = float(oracle.sched.drift_coef(t))
         c_coef = float(oracle.sched.score_coef(t))
-        for sl in node_blocks(n, n):
-            sq = sq_norm[sl, None] - 2.0 * mu * (nodes[sl] @ nodes.T) + mu**2 * sq_norm[None, :]
-            kern = np.exp(-0.5 * sq / sig2) / (2.0 * np.pi * sig2) ** (dim / 2.0)
-            r = kern * bw[None, :] * node_set.cell_area  # (x probe, x0 node)
-            s0[sl] = r.sum(axis=1)
-            s1[sl] = r @ nodes
-            s2[sl] = r @ sq_norm
+        s0, s1, s2 = _kernel_moments(node_set, w, mu, sig2)
         if kind == "velocity":
             # u(x|x0) = (a - c/sig2) x + (c mu / sig2) x0
             px = (a_coef - c_coef / sig2) * nodes
@@ -263,15 +270,15 @@ def _conditional_exact(model: MlpModel, oracle: GuidedOracle, t_nodes, kind: str
         upstream = 2.0 * (pred * s0[:, None] - target_sum) / len(t_nodes)
         total += loss
         acc += backward(model, cache, upstream)
-    return total, acc
+    return total, model.layer_views(acc)
 
 
 def loss_cefm_exact(model: MlpModel, oracle: GuidedOracle, t_nodes):
-    return _per_layer(model, _conditional_exact(model, oracle, t_nodes, "velocity"))
+    return _conditional_exact(model, oracle, t_nodes, "velocity")
 
 
 def loss_ced_exact(model: MlpModel, oracle: GuidedOracle, t_nodes):
-    return _per_layer(model, _conditional_exact(model, oracle, t_nodes, "score"))
+    return _conditional_exact(model, oracle, t_nodes, "score")
 
 
 # --------------------------------------------------------------------- loop

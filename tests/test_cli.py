@@ -467,5 +467,62 @@ def test_rerun_of_unknown_command_exits_2(tmp_path):
     assert "'bogus' is not replayable" in result.output
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_rerun_of_manifest_with_unknown_dataset_exits_2_like_its_config_file(tmp_path, command):
+    text = {"train": FAST_TRAIN, "eval": "dataset = gauss1d\n"}[command]
+    samples = tmp_path / "samples.csv"
+    write_samples_csv(samples, np.zeros((4, 1)), {})
+    flags = {"samples": str(samples)} if command == "eval" else {}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text.replace("dataset = gauss1d", "dataset = nope"))
+    args = [f"--{k}={v}" for k, v in flags.items()]
+    from_file = CliRunner().invoke(main, [command, "--config", str(cfg), *args, "--out", str(tmp_path / "a")])
+    values, lines = parse_config_text(text)
+    config = {**validate_config(values, lines, COMMANDS[command][0]), **flags, "dataset": "nope"}
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"command": command, "config": config, "seed": config["seed"],
+                                    "git": "unknown", "outputs": [], "wallclock_s": 0.0}))
+    dest = tmp_path / "rerun"
+    from_manifest = CliRunner().invoke(main, ["rerun", "--manifest", str(manifest), "--out", str(dest)])
+    assert from_file.exit_code == from_manifest.exit_code == 2, from_manifest.output
+    assert "invalid value for 'dataset': unknown dataset 'nope'" in from_manifest.output
+    loc = f"{cfg}:{lines['dataset']}"
+    assert from_file.output.replace(loc, "LOC") == from_manifest.output.replace(str(manifest), "LOC")
+    assert not dest.exists() or not any(dest.iterdir())
+
+
+def test_eval_rerun_replays_the_samples_flag(trained):
+    root, _, out = trained
+    sdir = root / "se_rerun"
+    CliRunner().invoke(main, ["sample", "--checkpoint", str(out / "checkpoint.bin"), "-n", "300",
+                              "--out", str(sdir)])
+    ecfg = root / "eval_rerun.cfg"
+    ecfg.write_text("dataset = gauss1d\nn_ref = 500\n")
+    first, second = root / "ev_first", root / "ev_second"
+    result = CliRunner().invoke(
+        main, ["eval", "--config", str(ecfg), "--samples", str(sdir / "samples.csv"), "--out", str(first)]
+    )
+    assert result.exit_code == 0, result.output
+    result = CliRunner().invoke(main, ["rerun", "--manifest", str(first / "manifest.json"), "--out", str(second)])
+    assert result.exit_code == 0, result.output
+    assert (first / "report.json").read_bytes() == (second / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("dataset, samples_dim", [("bimodal2d", 1), ("gauss1d", 2)])
+def test_eval_of_samples_of_another_dimension_exits_2_and_writes_nothing(tmp_path, dataset, samples_dim):
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text(f"dataset = {dataset}\n")
+    samples = tmp_path / "samples.csv"
+    write_samples_csv(samples, np.zeros((4, samples_dim)), {})
+    dest = tmp_path / "out"
+    result = CliRunner().invoke(
+        main, ["eval", "--config", str(cfg), "--samples", str(samples), "--out", str(dest)]
+    )
+    assert result.exit_code == 2, result.output
+    dim = 3 - samples_dim
+    assert f"samples are {samples_dim}-D but dataset {dataset!r} is {dim}-D" in result.output
+    assert not dest.exists() or not any(dest.iterdir())
+
+
 def test_every_artifact_command_is_in_the_table():
     assert set(main.commands) - {"selftest", "rerun"} == set(COMMANDS)

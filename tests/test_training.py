@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ewflow import grids
+from ewflow import grids, training
 from ewflow.datasets import make_dataset
 from ewflow.energies import EnergySpec
+from ewflow.grids import DensityGrid, quadrature_nodes
 from ewflow.mixtures import gmm_sample
 from ewflow.nn import MlpModel, forward
 from ewflow.oracle import GuidedOracle
@@ -244,6 +245,60 @@ def test_exact_loss_blocks_are_bit_identical_to_one_block(monkeypatch, grid_res)
     t_nodes = [0.25, 0.5, 0.75]
     fns = (loss_efm_exact, loss_cefm_exact, loss_ed_exact, loss_ced_exact)
     assert len(list(grids.node_blocks(n_nodes, n_nodes))) > 1
+    shipped = [fn(model, oracle, t_nodes) for fn in fns]
+    monkeypatch.setattr(grids, "_BLOCK_BYTES", 8 * n_nodes * n_nodes)
+    assert len(list(grids.node_blocks(n_nodes, n_nodes))) == 1
+    for fn, (loss, grads) in zip(fns, shipped):
+        loss_one, grads_one = fn(model, oracle, t_nodes)
+        assert loss == loss_one
+        assert np.array_equal(_flat(grads), _flat(grads_one))
+
+
+@pytest.mark.parametrize("t", [0.02, 0.35, 0.98])
+def test_factored_kernel_moments_match_the_double_sum_over_node_pairs(t):
+    # 16 x 12 nodes on a box that is not square, so a swapped axis or a wrong
+    # ravel order cannot pass
+    base = DensityGrid(-4.0, 4.0, -3.0, 3.0, Rng(16).uniform(0.5, 1.5, (12, 16))).normalized()
+    node_set = quadrature_nodes(base, EnergySpec.quadratic([0.25, 0.25], 1.0, center=[2.0, 0.0]))
+    x = node_set.points
+    w = np.exp(node_set.log_mass)
+    sched = PathSchedule.ot()
+    mu, sig2 = float(sched.mu(t)), float(sched.sigma(t)) ** 2
+    s0, s1, s2 = training._kernel_moments(node_set, w, mu, sig2)
+    # probe x (rows) against node x0 (columns)
+    d2 = ((x[:, None, :] - mu * x[None, :, :]) ** 2).sum(-1)
+    r = np.exp(-0.5 * d2 / sig2) / (2.0 * np.pi * sig2) * w
+    for got, want in ((s0, r.sum(1)), (s1, r @ x), (s2, r @ (x**2).sum(-1))):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _exact_setup_1d(kind, grid_res=32):
+    energy = EnergySpec.linear([1.0], 1.0)
+    sched = PathSchedule.ot() if kind == "ot" else PathSchedule.vp()
+    oracle = GuidedOracle(make_dataset("gauss1d"), energy, sched, grid_res=grid_res)
+    model = MlpModel.init(1, 1, Rng(17), hidden=(16,), embed_dim=8)
+    return oracle, model
+
+
+@pytest.mark.parametrize("kind", ["ot", "vp"])
+def test_exact_marginal_and_conditional_gradients_match_in_1d(kind):
+    oracle, model = _exact_setup_1d(kind)
+    t_nodes = [0.05, 0.35, 0.75]
+    for marg_fn, cond_fn in ((loss_efm_exact, loss_cefm_exact), (loss_ed_exact, loss_ced_exact)):
+        fa = _flat(marg_fn(model, oracle, t_nodes)[1])
+        fb = _flat(cond_fn(model, oracle, t_nodes)[1])
+        assert np.linalg.norm(fa - fb) / np.linalg.norm(fa) < 1e-5
+
+
+def test_exact_loss_blocks_are_bit_identical_to_one_block_in_1d(monkeypatch):
+    # 1600 nodes on one axis: the conditional form's (N, N) axis kernel is
+    # built in three row blocks, as is the marginal form's kernel
+    oracle, model = _exact_setup_1d("ot", grid_res=40)
+    n_nodes = len(oracle.nodes.points)
+    t_nodes = [0.25, 0.5, 0.75]
+    fns = (loss_efm_exact, loss_cefm_exact, loss_ed_exact, loss_ced_exact)
+    assert len(list(grids.node_blocks(n_nodes, n_nodes))) == 3
     shipped = [fn(model, oracle, t_nodes) for fn in fns]
     monkeypatch.setattr(grids, "_BLOCK_BYTES", 8 * n_nodes * n_nodes)
     assert len(list(grids.node_blocks(n_nodes, n_nodes))) == 1
