@@ -58,7 +58,7 @@ from .rl import (
     sample_policy_actions,
     train_q,
 )
-from .rng import Rng
+from .rng import MAX_SEED, Rng
 from .sampling import SamplerConfig, generate, read_samples_csv, write_samples_csv
 from .training import train_density_model
 
@@ -290,7 +290,7 @@ def train(config_path, out_dir):
 @click.option("-n", "n", default=2000, show_default=True, help="points to sample")
 @click.option("--sampler", default="heun", show_default=True)
 @click.option("--steps", default=15, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(0, MAX_SEED - 1))
 @click.option("--guidance-beta", default=None, type=float,
               help="guidance scale for classifier-pair or beta-conditioned checkpoints")
 def sample(checkpoint, out_dir, n, sampler, steps, seed, guidance_beta):

@@ -21,6 +21,7 @@ from .energies import EnergySpec
 from .grids import DensityGrid
 from .mixtures import GaussianMixture
 from .paths import PathSchedule
+from .rng import MAX_SEED
 from .training import TrainConfig
 
 __all__ = [
@@ -96,6 +97,13 @@ def _parse_dataset(s: str) -> str:
     return s
 
 
+def _parse_seed(s: str) -> int:
+    seed = int(s)
+    if not 0 <= seed < MAX_SEED:
+        raise ValueError(f"must be in [0, {MAX_SEED - 1}], got {seed}")
+    return seed
+
+
 # schema entry: key -> (parser, default); required keys use default=...  REQUIRED
 _REQ = object()
 
@@ -127,7 +135,7 @@ TRAIN_SCHEMA = {
     "steps": (int, 20_000),
     "batch": (int, 256),
     "lr": (float, 1e-4),
-    "seed": (int, 0),
+    "seed": (_parse_seed, 0),
     "n_data": (int, 100_000),
     "log_every": (int, 100),
     "beta_max": (float, 10.0),
@@ -140,7 +148,7 @@ QIPO_SCHEMA = {
     "env": (str, "bandit"),
     "env.w": (_parse_floats, (1.0,)),
     "env.n_data": (int, 16_384),
-    "seed": (int, 0),
+    "seed": (_parse_seed, 0),
     "beta": (float, 1.0),
     "m_support": (int, 16),
     "k_renew": (int, 10),
@@ -170,7 +178,7 @@ COMPARE_SCHEMA = {
     "steps": (int, 8_000),
     "batch": (int, 256),
     "lr": (float, 1e-3),
-    "seed": (int, 0),
+    "seed": (_parse_seed, 0),
     "n_data": (int, 100_000),
     "n_samples": (int, 20_000),
     "tv_res": (int, 64),
@@ -182,7 +190,7 @@ COMPARE_SCHEMA = {
 
 EVAL_SCHEMA = {
     "dataset": (_parse_dataset, _REQ),
-    "seed": (int, 0),
+    "seed": (_parse_seed, 0),
     "n_ref": (int, 20_000),
     "tv_res": (int, 64),
     **_COMMON_ENERGY,

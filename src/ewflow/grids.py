@@ -17,6 +17,11 @@ __all__ = ["DensityGrid", "QuadratureNodes", "quadrature_nodes", "node_blocks", 
 # by the number of query points or nodes.
 _BLOCK_BYTES = 8 * 2**20
 
+# Padding of every mixture node set's box beyond the component means, in the
+# largest standard deviation of p0: the mass outside is 2 Phi(-8) ~ 1.2e-15
+# per component per axis.  A grid energy has no closed tilt, so E cannot enter.
+_NODE_BOX_SIGMAS = 8.0
+
 
 @dataclass
 class DensityGrid:
@@ -141,7 +146,7 @@ def mixture_bounds(gmm: GaussianMixture, pad_sigmas: float = 4.0):
     pad = pad_sigmas * max_sigma
     lo = gmm.means.min(axis=0) - pad
     hi = gmm.means.max(axis=0) + pad
-    return (lo[0], hi[0]), (lo[1], hi[1])
+    return tuple(zip(lo, hi))
 
 
 @dataclass(frozen=True)
@@ -165,24 +170,22 @@ class QuadratureNodes:
     log_z: float
 
 
-def quadrature_nodes(base, energy, grid_res: int = 256, pad_sigmas: float = 4.0) -> QuadratureNodes:
-    """Node set of a DensityGrid (its own cells), a 2D mixture (a grid_res^2
-    grid over its box padded by pad_sigmas) or a 1D mixture (grid_res^2 cells
-    on the line out to 8 standard deviations)."""
-    if isinstance(base, GaussianMixture) and base.dim == 2:
-        base = DensityGrid.from_mixture(base, grid_res, pad_sigmas)
+def quadrature_nodes(base, energy, grid_res: int = 256) -> QuadratureNodes:
+    """Node set of a DensityGrid (its own cells) or of a 1D or 2D mixture:
+    grid_res^2 midpoint cells over the mixture's box (_NODE_BOX_SIGMAS on
+    every axis), grid_res per axis in 2D and grid_res^2 on the line in 1D."""
     if isinstance(base, DensityGrid):
         axes = (base.xs, base.ys)
         points, mass, area = base.centers(), base.masses().ravel(), base.cell_area
     elif not isinstance(base, GaussianMixture):
         raise TypeError(f"unsupported base distribution {type(base).__name__}")
-    elif base.dim == 1:
-        lo = float(base.means.min() - 8.0 * np.sqrt(base.variances.max()))
-        hi = float(base.means.max() + 8.0 * np.sqrt(base.variances.max()))
-        n = grid_res * grid_res  # match the 2D node budget in 1D
-        area = (hi - lo) / n
-        axes = (lo + area * (np.arange(n) + 0.5),)
-        points = axes[0][:, None]
+    elif base.dim in (1, 2):
+        n = grid_res if base.dim == 2 else grid_res * grid_res  # grid_res^2 nodes either way
+        box = mixture_bounds(base, _NODE_BOX_SIGMAS)
+        steps = [(hi - lo) / n for lo, hi in box]
+        axes = tuple(lo + h * (np.arange(n) + 0.5) for (lo, _), h in zip(box, steps))
+        points = np.stack([g.ravel() for g in np.meshgrid(*axes)], axis=-1)
+        area = float(np.prod(steps))
         dens = np.exp(gmm_logpdf(base, points))
         mass = dens * area / (dens * area).sum()
     else:

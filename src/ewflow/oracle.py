@@ -7,8 +7,8 @@ guided marginals q_t, the time-dependent energy
 
 the guided velocity field, and the guided score each have two routes: closed
 forms by mixture algebra (mixture base + linear/quadratic energy), and
-midpoint quadrature over one node set (grids.quadrature_nodes).  The two
-routes share no arithmetic, so each checks the other.
+midpoint quadrature over one node set (grids.quadrature_nodes, 8 sigma past
+the base's means).  The two routes share no arithmetic, so each checks the other.
 
 On the quadrature route one Gaussian kernel K_t(x, x0) = N(x; mu_t x0,
 sigma_t^2 I) is evaluated against the nodes and reduced to the posterior of
@@ -50,7 +50,7 @@ import numpy as np
 from .energies import EnergySpec, tilt_mixture
 from .grids import DensityGrid, QuadratureNodes, mixture_bounds, node_blocks, quadrature_nodes
 from .mixtures import GaussianMixture, gmm_logpdf, gmm_score, path_marginal
-from .paths import PathSchedule, clamp_time, velocity_from_score
+from .paths import T_EPS, PathSchedule, clamp_time, velocity_from_score
 
 __all__ = ["GuidedOracle"]
 
@@ -59,8 +59,8 @@ class GuidedOracle:
     """Exact guided marginals, fields, and scores for one (p0, E, path) triple.
 
     base is a GaussianMixture.  The quadrature route uses the node set
-    `nodes`, built on first use.  The one density grid it gives is the
-    guided target q_0 (guided_q0_grid).
+    `nodes` on the base's 8-sigma box, built on first use.  The grids of
+    guided_q0_grid and continuity_residual lie on `bounds`, its 4-sigma box.
     """
 
     def __init__(
@@ -69,7 +69,6 @@ class GuidedOracle:
         energy: EnergySpec,
         sched: PathSchedule,
         grid_res: int = 256,
-        pad_sigmas: float = 4.0,
     ):
         if not isinstance(base, GaussianMixture):
             raise TypeError(f"unsupported base {type(base).__name__}")
@@ -77,10 +76,9 @@ class GuidedOracle:
         self.energy = energy
         self.sched = sched
         self.grid_res = grid_res
-        self.pad_sigmas = pad_sigmas
         self.analytic = energy.has_closed_tilt()
         self.dim = base.dim
-        self.bounds = mixture_bounds(base, pad_sigmas) if self.dim == 2 else None
+        self.bounds = mixture_bounds(base) if self.dim == 2 else None
         if self.analytic:
             self._tilted, self._log_z = tilt_mixture(base, energy)
         else:
@@ -90,7 +88,7 @@ class GuidedOracle:
     @cached_property
     def nodes(self) -> QuadratureNodes:
         """The quadrature node set of the base, with the energy on it."""
-        return quadrature_nodes(self.base, self.energy, self.grid_res, self.pad_sigmas)
+        return quadrature_nodes(self.base, self.energy, self.grid_res)
 
     # ------------------------------------------------------------- quadrature
 
@@ -268,13 +266,11 @@ class GuidedOracle:
     # ------------------------------------------------------------------ grids
 
     def guided_q0_grid(self, resolution: int | None = None) -> DensityGrid:
-        """Normalized grid of the guided target q_0 = p0 exp(-beta E) / Z.
-
-        The analytic route evaluates the tilted mixture at the cell centers
-        of `bounds`.  The quadrature route reads the node weights
-        m_n exp(-beta E_n) / Z per cell area off the node set at that
-        resolution, normalized by the node set's own log Z as
-        guided_logdensity is.
+        """Normalized grid of the guided target q_0 = p0 exp(-beta E) / Z at
+        the cell centers of `bounds`: the tilted mixture on the analytic
+        route, p0 exp(-beta E) on the quadrature route, with its log-domain
+        maximum subtracted so an energy that underflows exp(-beta E) at
+        every cell still gives a grid.
         """
         if self.dim != 2:
             raise ValueError("density grids are 2D only")
@@ -283,15 +279,12 @@ class GuidedOracle:
             return DensityGrid.from_fn(
                 lambda p: np.exp(gmm_logpdf(self._tilted, p)), self.bounds, res
             )
-        if res == self.grid_res:
-            nodes = self.nodes
-        else:
-            nodes = quadrature_nodes(self.base, self.energy, res, self.pad_sigmas)
-        xs, ys = nodes.axes
-        log_q = nodes.log_mass - self.energy.beta * nodes.energy - nodes.log_z
-        vals = (np.exp(log_q) / nodes.cell_area).reshape(len(ys), len(xs))
-        (x0, x1), (y0, y1) = self.bounds
-        return DensityGrid(x0, x1, y0, y1, vals)
+
+        def tilted(p):
+            log_q = gmm_logpdf(self.base, p) - self.energy.beta * self.energy(p)
+            return np.exp(log_q - log_q.max())
+
+        return DensityGrid.from_fn(tilted, self.bounds, res)
 
     # ------------------------------------------------------------- diagnostics
 
@@ -300,17 +293,24 @@ class GuidedOracle:
 
         Time derivative by central difference (step 1e-3), divergence by
         second-order central differences on the cell-center lattice; u_t is
-        the guided velocity.
+        the guided velocity.  The time stencil must lie inside the clamp
+        [T_EPS, 1 - T_EPS]: a clamped end would shrink the step and scale
+        dq/dt wrongly, so such a t raises a ValueError.
         """
         if self.dim != 2:
             raise ValueError("continuity residual is a 2D grid check")
+        dt = 1e-3
+        t = float(t)
+        if not (T_EPS <= t - dt and t + dt <= 1.0 - T_EPS):
+            raise ValueError(
+                f"continuity residual at t={t:g}: its time stencil t +- {dt:g} leaves "
+                f"[{T_EPS:g}, {1.0 - T_EPS:g}], so t must lie in [{T_EPS + dt:g}, {1.0 - T_EPS - dt:g}]"
+            )
         res = resolution
         (x0, x1), (y0, y1) = self.bounds
         pts = DensityGrid(x0, x1, y0, y1, np.zeros((res, res))).centers()
         hx = (x1 - x0) / res
         hy = (y1 - y0) / res
-        t = float(clamp_time(t))
-        dt = 1e-3
         q_plus = np.exp(self.guided_logdensity(pts, t + dt))
         q_minus = np.exp(self.guided_logdensity(pts, t - dt))
         dq_dt = (q_plus - q_minus) / (2.0 * dt)

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Rng"]
+__all__ = ["Rng", "MAX_SEED"]
 
-_MAX_SEED = 2**64
+# Seeds are unsigned 64-bit integers: 0 <= seed < MAX_SEED.
+MAX_SEED = 2**64
 
 
 class Rng:
@@ -20,7 +21,7 @@ class Rng:
 
     def __init__(self, seed: int, _path: tuple[int, ...] = ()):
         seed = int(seed)
-        if not 0 <= seed < _MAX_SEED:
+        if not 0 <= seed < MAX_SEED:
             raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
         self.seed = seed
         self.path = _path

@@ -156,16 +156,21 @@ def _check_perturb_statistics():
 
 
 def _check_marginal_consistency():
-    gmm = make_dataset("bimodal1d")
-    sched = PathSchedule.vp()
-    oracle = GuidedOracle(gmm, EnergySpec.linear([0.0], 0.0), sched, grid_res=64)
-    x = np.linspace(-4, 4, 41)[:, None]
+    line = np.linspace(-4, 4, 41)[:, None]
+    axis = np.linspace(-5, 5, 21)
+    lattice = np.stack([g.ravel() for g in np.meshgrid(axis, axis)], axis=-1)
+    cases = [("bimodal1d", PathSchedule.vp(), line)] + [
+        ("8gaussians", sched, lattice) for sched in (PathSchedule.ot(), PathSchedule.vp())
+    ]
     worst = 0.0
-    for t in (0.3, 0.7):
-        analytic = gmm_logpdf(path_marginal(gmm, sched, t), x)
-        quad = oracle.marginal_logdensity(x, t, route="quad")
-        worst = max(worst, float(np.abs(analytic - quad).max()))
-    return worst < 1e-4, f"max |log p_t analytic - quadrature| {worst:.2e}"
+    for name, sched, x in cases:
+        gmm = make_dataset(name)
+        oracle = GuidedOracle(gmm, EnergySpec.linear([0.0] * gmm.dim, 0.0), sched, grid_res=64)
+        for t in (0.3, 0.7):
+            analytic = gmm_logpdf(path_marginal(gmm, sched, t), x)
+            quad = oracle.marginal_logdensity(x, t, route="quad")
+            worst = max(worst, float(np.abs(analytic - quad).max()))
+    return worst < 1e-4, f"max |log p_t analytic - quadrature| {worst:.2e} (bimodal1d, 8gaussians)"
 
 
 def run_selftest() -> list[CheckResult]:

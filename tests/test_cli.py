@@ -320,6 +320,32 @@ def test_compare_guidance_bad_betas_or_mode_exit_2_and_write_nothing(tmp_path, l
     assert not dest.exists() or not any(dest.iterdir())
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("command", ["train", "qipo", "compare-guidance", "eval", "sample"])
+def test_out_of_range_seed_exits_2_and_writes_nothing(trained, command, seed):
+    root, _, out = trained
+    dest = root / f"seed_{command}_{seed}"
+    if command == "sample":
+        args = ["--checkpoint", str(out / "checkpoint.bin"), "--seed", str(seed)]
+        message = f"{seed} is not in the range 0<=x<={2**64 - 1}"
+    else:
+        text = {"train": FAST_TRAIN, "qipo": TINY_QIPO, "compare-guidance": TINY_COMPARE,
+                "eval": "dataset = gauss1d"}[command]
+        kept = [line for line in text.splitlines() if not line.startswith("seed =")]
+        cfg = root / f"seed_{command}_{seed}.cfg"
+        cfg.write_text("\n".join(kept + [f"seed = {seed}"]) + "\n")
+        args = ["--config", str(cfg)]
+        message = f"{cfg}:{len(kept) + 1}: invalid value for 'seed': must be in [0, {2**64 - 1}], got {seed}"
+        if command == "eval":
+            samples = root / "seed_samples.csv"
+            write_samples_csv(samples, np.zeros((4, 1)), {})
+            args += ["--samples", str(samples)]
+    result = CliRunner().invoke(main, [command, *args, "--out", str(dest)])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not dest.exists()
+
+
 def _save_energy_table(path) -> None:
     """A 32 x 32 table of the bowl E(x) = |x - (2, 0)|^2 / 8 over bimodal2d's support."""
     bowl = lambda p: 0.125 * ((p - [2.0, 0.0]) ** 2).sum(-1)  # noqa: E731

@@ -119,9 +119,9 @@ def test_guided_score_gaussian_linear_closed_form_and_quadrature():
 def test_guided_velocity_routes_agree():
     gmm = make_dataset("8gaussians")
     energy = EnergySpec.quadratic([0.25, 0.25], 1.0, center=[4.0, 0.0], classifier=True)
-    # node bounds must cover the p0-weighted posterior support; the default
-    # 4-sigma padding truncates it for probes mapped outward by 1/mu_t
-    orc = GuidedOracle(gmm, energy, PathSchedule.ot(), grid_res=160, pad_sigmas=8.0)
+    # the node box must cover the p0-weighted posterior support of probes
+    # mapped outward by 1/mu_t; the 8-sigma box of every node set does
+    orc = GuidedOracle(gmm, energy, PathSchedule.ot(), grid_res=160)
     pts = Rng(1).normal((20, 2)) * 1.2
     for t in (0.3, 0.6):
         a = orc.guided_velocity(pts, t, route="analytic")
@@ -223,8 +223,9 @@ def test_grid_base_oracle_matches_mixture_oracle():
     with pytest.raises(TypeError, match="unsupported base DensityGrid"):
         GuidedOracle(grids.DensityGrid.from_mixture(gmm, 128), energy, PathSchedule.ot())
     # The quadrature route of a mixture base: p0 exp(-beta E) is the tilted
-    # mixture at every node, so its q_0 grid and the closed form's differ by rounding.
-    quad = GuidedOracle(gmm, energy, PathSchedule.ot(), grid_res=128, pad_sigmas=6.0)
+    # mixture at every cell center, so its q_0 grid and the closed form's
+    # differ by rounding.
+    quad = GuidedOracle(gmm, energy, PathSchedule.ot(), grid_res=128)
     quad.analytic = False
     c = quad.guided_q0_grid()
     tilted = tilt_mixture(gmm, energy)[0]
@@ -358,17 +359,56 @@ def test_underflowed_factored_rows_fall_back_to_log_domain(monkeypatch):
 
 
 def test_quadrature_matches_closed_form_when_box_covers_tails():
-    # An 8-sigma box leaves no tail mass outside the nodes, so the midpoint
-    # rule on 64^2 nodes meets the closed form to rounding.
+    # The 8-sigma node box leaves no tail mass outside the nodes, so the
+    # midpoint rule on 64^2 nodes meets the closed form to rounding.
     gmm = make_dataset("8gaussians")
     sched = PathSchedule.ot()
-    orc = GuidedOracle(gmm, BENCH_ENERGY, sched, grid_res=64, pad_sigmas=8.0)
+    orc = GuidedOracle(gmm, BENCH_ENERGY, sched, grid_res=64)
     for i, t in enumerate((0.35, 0.7)):
         x = _core_points(gmm, sched, t, 300, Rng(27 + i))
         for f in FIELDS:
             quad = getattr(orc, f)(x, t, route="quad")
             exact = getattr(orc, f)(x, t, route="analytic")
             assert np.abs(quad - exact).max() < 1e-10, (f, t)
+
+
+@pytest.mark.parametrize("kind", ["ot", "vp"])
+def test_default_resolution_quadrature_matches_closed_form_on_all_draws(kind):
+    # Every draw of p_t, tails included: at t >= 0.1 the midpoint rule on the
+    # default 256^2 nodes meets the closed form to rounding; at t = 0.05 the
+    # narrowest kernel sets the error.
+    gmm = make_dataset("8gaussians")
+    sched = PathSchedule.ot() if kind == "ot" else PathSchedule.vp()
+    orc = GuidedOracle(gmm, BENCH_ENERGY, sched)
+    for i, (t, tol) in enumerate(((0.05, 1e-5), (0.1, 1e-10), (0.2, 1e-10), (0.35, 1e-10), (0.7, 1e-10))):
+        x = gmm_sample(path_marginal(gmm, sched, t), Rng(31 + i), 300)
+        for f in FIELDS:
+            err = np.abs(getattr(orc, f)(x, t, route="quad") - getattr(orc, f)(x, t, route="analytic")).max()
+            assert err < tol, (f, t, err)
+
+
+def test_guided_q0_grid_of_an_energy_that_underflows_everywhere_is_normalized():
+    # exp(-beta E) underflows at every cell for E + 1e4, so the quadrature
+    # route's q_0 grid needs its log-domain shift to match the grid of E.
+    gmm = make_dataset("bimodal2d")
+    bowl = lambda p: 0.125 * ((p - [2.0, 0.0]) ** 2).sum(-1)  # noqa: E731
+    table = grids.DensityGrid.from_fn(bowl, [(-4.0, 4.0), (-3.0, 3.0)], 32, normalize=False)
+    raised = replace(table, values=table.values + 1e4)
+    grid, high = (
+        GuidedOracle(gmm, EnergySpec.from_table(tab, 1.0), PathSchedule.ot()).guided_q0_grid(64)
+        for tab in (table, raised)
+    )
+    assert np.all(np.exp(-1.0 * raised.values) == 0.0)
+    assert high.total_mass() == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(high.values - grid.values).max() < 1e-9 * grid.values.max()
+
+
+def test_continuity_residual_refuses_a_time_stencil_across_the_clamp():
+    orc = GuidedOracle(make_dataset("8gaussians"), BENCH_ENERGY, PathSchedule.ot(), grid_res=32)
+    for t in (0.999, 0.9985, 0.0015, 1e-3):
+        with pytest.raises(ValueError, match=rf"t={t:g}: .* t must lie in \[0\.002, 0\.998\]"):
+            orc.continuity_residual(t, resolution=32)
+    assert np.isfinite(orc.continuity_residual(0.998, resolution=32))
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
