@@ -30,11 +30,16 @@ weight grid W = exp(c - max c), c = log m - beta E:
     S = rowsum((ky @ W) * kx)
 
 costing nx + ny exps per query row instead of nx * ny; first moments weight
-kx by xs, or ky by ys, in the same sums.  A term below the smallest normal
-double may underflow, so a row whose S is not above N * tiny / eps (N nodes)
-is recomputed by the log-domain reduction of the joint kernel, which also
-raises a FloatingPointError naming t, beta and the rows when the kernel
-underflows at every node.
+kx by xs, or ky by ys, in the same sums.  When the query set is the 2D node
+grid itself (node_logdensity_and_score, for the exact marginal losses), the
+sums at every node are matrix products, S = Ky W Kx^T and its two first
+moments, from one (n, n) kernel per axis instead of one kernel row per node;
+a 1D node set is a single line with nothing to factor and takes the
+per-point route.  A term below the smallest normal double may underflow, so
+a row (or node) whose S is not above N * tiny / eps (N nodes) is recomputed
+by the log-domain reduction of the joint kernel, which also raises a
+FloatingPointError naming t, beta and the rows when the kernel underflows at
+every node.
 
 Guidance built from a classifier probability p(c|x) = exp(-E) admits two
 inequivalent score compositions: exponent-inside (exact) and exponent-outside
@@ -92,9 +97,11 @@ class GuidedOracle:
 
     # ------------------------------------------------------------- quadrature
 
-    def _axis_log_kernels(self, x: np.ndarray, t: float, axes) -> list:
-        """Per-axis log N(x_a; mu_t g, sigma_t^2) against each coordinate
-        array g of axes, one (B, len(g)) block per axis.
+    def _axis_log_kernels(self, qs, t: float, axes) -> list:
+        """Per-axis log N(q; mu_t g, sigma_t^2) of the query coordinates q in
+        qs against each coordinate array g of axes, one (len(q), len(g))
+        block per axis: the columns of the query points (x.T) on the point
+        route, the node axes themselves on the node route.
 
         The joint log kernel against the tensor grid of axes is their
         broadcast sum (_joint_log_kernel).  Each is a direct difference: the
@@ -104,8 +111,8 @@ class GuidedOracle:
         mu = float(self.sched.mu(t))
         sig2 = float(self.sched.sigma(t)) ** 2
         out = []
-        for a, g in enumerate(axes):
-            lk = x[:, a, None] - mu * g
+        for q, g in zip(qs, axes):
+            lk = q[:, None] - mu * g
             np.square(lk, out=lk)
             lk *= -0.5 / sig2
             lk -= 0.5 * np.log(2.0 * np.pi * sig2)
@@ -125,15 +132,13 @@ class GuidedOracle:
         """
         nodes = self.nodes
         floor = len(nodes.points) * _UNDERFLOW_FLOOR
-        shape = [len(g) for g in reversed(nodes.axes)]
-        tilts = []  # (beta, mean?, log weights, their max, scaled weight grid, output)
-        for b, want_mean in ([(0.0, False)] if prior else []) + [(beta, mean)]:
-            log_w = nodes.log_mass - b * nodes.energy if b else nodes.log_mass
-            top = float(log_w.max())
-            tilts.append((b, want_mean, log_w, top, np.exp(log_w - top).reshape(shape), np.empty(len(x))))
+        tilts = [  # (beta, mean?, log weights, their max, scaled weight grid, output)
+            (b, want_mean, *self._weight_grid(b), np.empty(len(x)))
+            for b, want_mean in ([(0.0, False)] if prior else []) + [(beta, mean)]
+        ]
         post_mean = np.empty_like(x) if mean else None
         for sl in node_blocks(len(x), len(nodes.points)):
-            lks = self._axis_log_kernels(x[sl], t, nodes.axes)
+            lks = self._axis_log_kernels(x[sl].T, t, nodes.axes)
             peaks = [lk.max(axis=1, keepdims=True) for lk in lks]
             # a row whose kernel is -inf at every node yields nan here and is
             # left to the log-domain reduction, which names it
@@ -154,6 +159,15 @@ class GuidedOracle:
                     if want_mean:
                         post_mean[rows] = m
         return tilts[-1][-1], post_mean, tilts[0][-1] if prior else None
+
+    def _weight_grid(self, beta: float):
+        """(log w, max log w, W): the node log weights log m - beta E, their
+        maximum, and W = exp(log w - max) as the (ny, nx) grid, or the line
+        in 1D."""
+        nodes = self.nodes
+        log_w = nodes.log_mass - beta * nodes.energy if beta else nodes.log_mass
+        top = float(log_w.max())
+        return log_w, top, np.exp(log_w - top).reshape([len(g) for g in reversed(nodes.axes)])
 
     def _score_from_mean(self, x: np.ndarray, t: float, post_mean: np.ndarray) -> np.ndarray:
         """Posterior average of per-datum scores -(x - mu_t x0) / sigma_t^2."""
@@ -187,13 +201,43 @@ class GuidedOracle:
             return gmm_logpdf(path_marginal(self._tilted, self.sched, t), x)
         return self._posterior(x, t, self.energy.beta)[0] - self.nodes.log_z
 
-    def guided_logdensity_and_score(self, x, t: float):
-        """(log q_t(x), guided score at x) on the quadrature route, from one
-        kernel pass; the exact marginal losses take weights and targets here."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+    def node_logdensity_and_score(self, t: float):
+        """(log q_t, guided score) on the quadrature route at every node, in
+        the order of nodes.points; the exact marginal losses take weights and
+        targets here.
+
+        A 1D node set takes the per-point posterior.  A 2D node set is its own
+        query set, so its per-axis kernels are (nx, nx) and (ny, ny), rows
+        scaled to a maximum of 1, and the sums at every node are matrix
+        products: S = Ky W Kx^T and the first moments Ky (W xs) Kx^T and
+        (Ky ys) W Kx^T, with log shift peak_y[a] + peak_x[b] at node (a, b).
+        A node whose S is not above _UNDERFLOW_FLOOR per node is redone by
+        the log-domain joint reduction, as in _posterior.
+        """
         t = float(clamp_time(t))
-        log_norm, post_mean, _ = self._posterior(x, t, self.energy.beta, mean=True)
-        return log_norm - self.nodes.log_z, self._score_from_mean(x, t, post_mean)
+        nodes, beta = self.nodes, self.energy.beta
+        if len(nodes.axes) == 1:
+            log_norm, post_mean, _ = self._posterior(nodes.points, t, beta, mean=True)
+            return log_norm - nodes.log_z, self._score_from_mean(nodes.points, t, post_mean)
+        xs, ys = nodes.axes
+        lkx, lky = self._axis_log_kernels(nodes.axes, t, nodes.axes)
+        peak_x, peak_y = lkx.max(axis=1, keepdims=True), lky.max(axis=1, keepdims=True)
+        log_w, top, w = self._weight_grid(beta)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            kx, ky = np.exp(lkx - peak_x), np.exp(lky - peak_y)
+            left = ky @ w
+            sums = np.concatenate([left, left * xs, (ky * ys) @ w]) @ kx.T
+            s, mx, my = (part.ravel() for part in np.split(sums, 3))
+            log_norm = np.log(s) + (peak_y + peak_x.T).ravel() + top
+            post_mean = np.stack([mx, my], axis=1) / s[:, None]
+        n = len(nodes.points)
+        bad = np.flatnonzero(~(s > n * _UNDERFLOW_FLOOR))
+        for sl in node_blocks(len(bad), n):
+            rows = bad[sl]
+            iy, ix = np.divmod(rows, len(xs))
+            joint = _joint_log_kernel([lkx[ix], lky[iy]]) + log_w
+            log_norm[rows], post_mean[rows] = _reduce(joint, t, beta, slice(0, n), rows, nodes.points)
+        return log_norm - nodes.log_z, self._score_from_mean(nodes.points, t, post_mean)
 
     def marginal_score(self, x, t: float, route: str = "auto"):
         return self.guided_score(x, t, beta=0.0, route=route)

@@ -177,15 +177,16 @@ def loss_cfg_pair(model: MlpModel, batch: WeightedBatch, labels: np.ndarray, sch
 def _marginal_exact(model: MlpModel, oracle: GuidedOracle, t_nodes, kind: str):
     """Marginal-form loss on the node set; kind "velocity" or "score" picks the target.
 
-    Weights q_t(x_n) dx and the guided score come from one quadrature pass per
-    time node.  q_t is normalized by the node set's own log Z, not the closed
-    form, so the weights match the conditional form's Boltzmann node weights.
+    Weights q_t(x_n) dx and the guided score come from one oracle call per
+    time node (GuidedOracle.node_logdensity_and_score).  q_t is normalized by
+    the node set's own log Z, not the closed form, so the weights match the
+    conditional form's Boltzmann node weights.
     """
     nodes = oracle.nodes
     total = 0.0
     acc = np.zeros(model.n_params)
     for t in t_nodes:
-        log_q, score = oracle.guided_logdensity_and_score(nodes.points, t)
+        log_q, score = oracle.node_logdensity_and_score(t)
         w = np.exp(log_q) * nodes.cell_area / len(t_nodes)
         if kind == "velocity":
             target = velocity_from_score(oracle.sched, nodes.points, score, t)

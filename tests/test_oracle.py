@@ -252,7 +252,8 @@ def test_kernel_blocks_are_bit_identical_to_one_block(monkeypatch):
                 orc.guided_velocity(x, t, route="quad"),
                 orc.intermediate_energy(x, t, route="quad"),
                 orc.marginal_logdensity(x, t, route="quad"),
-                *orc.guided_logdensity_and_score(x, t),
+                orc.guided_logdensity(x, t, route="quad"),
+                orc.guided_score(x, t, route="quad"),
             ]
         return out
 
@@ -286,17 +287,17 @@ def _core_points(gmm, sched, t, n, rng):
     return x[z.max(axis=-1).min(axis=-1) <= 2.5][:n]
 
 
-def _counting_reduce(monkeypatch):
-    """Record the rows of every log-domain reduction the oracle makes."""
-    calls = []
+def _recording_reduce(monkeypatch):
+    """Record the query rows of every log-domain reduction the oracle makes."""
+    rows = []
     reduce = oracle_mod._reduce
 
-    def counting(lk, *args, **kwargs):
-        calls.append(len(lk))
-        return reduce(lk, *args, **kwargs)
+    def recording(lk, t, beta, block, r, points=None):
+        rows.extend(r)
+        return reduce(lk, t, beta, block, r, points)
 
-    monkeypatch.setattr(oracle_mod, "_reduce", counting)
-    return calls
+    monkeypatch.setattr(oracle_mod, "_reduce", recording)
+    return rows
 
 
 @pytest.mark.parametrize("kind", ["ot", "vp"])
@@ -304,7 +305,7 @@ def test_factored_sums_match_log_domain_joint_reduction(monkeypatch, kind):
     gmm = make_dataset("8gaussians")
     sched = PathSchedule.ot() if kind == "ot" else PathSchedule.vp()
     orc = GuidedOracle(gmm, BENCH_ENERGY, sched, grid_res=64)
-    calls = _counting_reduce(monkeypatch)
+    calls = _recording_reduce(monkeypatch)
     for i, t in enumerate((0.05, 0.35, 0.7, 0.999)):
         core = _core_points(gmm, sched, t, 300, Rng(23 + i))
         x = np.concatenate([core, 3.0 * core])
@@ -315,16 +316,19 @@ def test_factored_sums_match_log_domain_joint_reduction(monkeypatch, kind):
         with monkeypatch.context() as m:
             m.setattr(oracle_mod, "_UNDERFLOW_FLOOR", np.inf)
             joint = [getattr(orc, f)(x, t, route="quad") for f in FIELDS]
-        assert sum(calls) > 0
+        assert len(calls) > 0
         for f, a, b in zip(FIELDS, factored, joint):
             rel = np.abs(a - b).max() / np.abs(b).max()
             assert rel < 1e-12, (f, t, rel)
 
 
-def test_underflowed_factored_rows_fall_back_to_log_domain(monkeypatch):
-    # No mass in |x|, |y| < 1.5: at t = 1e-3 and beta = 20 every factored term
-    # of a query row inside the square underflows, while the log-domain sum is
-    # finite (the empty cells' clamped log mass and the edge cells compete).
+def _holed_grid_oracle():
+    """No mass in |x|, |y| < 1.5 of a 64^2 grid on [-6, 6]^2, at beta = 20.
+
+    At t = 1e-3 every factored term of a query inside the square, more than
+    one cell from its edge, underflows, while the log-domain sum is finite
+    (the empty cells' clamped log mass and the edge cells compete).
+    """
     gauss = GaussianMixture.create([1.0], [[0.0, 0.0]], [[4.0, 4.0]])
     box = ((-6.0, 6.0), (-6.0, 6.0))
     full = grids.DensityGrid.from_fn(lambda p: gmm_density(gauss, p), box, 64)
@@ -332,30 +336,80 @@ def test_underflowed_factored_rows_fall_back_to_log_domain(monkeypatch):
     empty = (np.abs(xx) < 1.5) & (np.abs(yy) < 1.5)
     base = grids.DensityGrid(-6.0, 6.0, -6.0, 6.0, np.where(empty, 0.0, full.values)).normalized()
     energy = EnergySpec.linear([1.0, 0.0], 20.0)
-    sched = PathSchedule.ot()
-    orc = GuidedOracle(gauss, energy, sched)
+    orc = GuidedOracle(gauss, energy, PathSchedule.ot())
     orc.nodes = grids.quadrature_nodes(base, energy)  # the holed grid's cells as the node set
-    t = 1e-3
-    x = np.array([[0.0, 0.0], [0.5, -0.7], [-1.0, 1.2], [1.3, 0.1], [3.0, 2.0], [-4.0, 0.5]])
-    inside = (np.abs(x) < 1.5).all(axis=1)
-    calls = _counting_reduce(monkeypatch)
-    log_q, score = orc.guided_logdensity_and_score(x, t)
-    assert sum(calls) == inside.sum() > 0
+    return orc
 
-    # long-double reference: direct differences over the same node set
+
+def _long_double_log_q_and_score(orc, x, t):
+    """log q_t and the guided score at x by direct differences over the
+    oracle's node set in long double."""
     ld = np.longdouble
     nodes = orc.nodes
-    mu, sig2 = ld(sched.mu(t)), ld(sched.sigma(t)) ** 2
+    mu, sig2 = ld(orc.sched.mu(t)), ld(orc.sched.sigma(t)) ** 2
     pts, xl = nodes.points.astype(ld), x.astype(ld)
     lk = -((xl[:, None, :] - mu * pts[None]) ** 2).sum(-1) / (2 * sig2) - np.log(2 * np.pi * sig2)
-    lk += nodes.log_mass.astype(ld) - ld(energy.beta) * nodes.energy.astype(ld)
+    lk += nodes.log_mass.astype(ld) - ld(orc.energy.beta) * nodes.energy.astype(ld)
     top = lk.max(axis=1, keepdims=True)
     w = np.exp(lk - top)
     total = w.sum(axis=1)
-    want_log_q = top[:, 0] + np.log(total) - ld(nodes.log_z)
-    want_score = -(xl - mu * (w @ pts) / total[:, None]) / sig2
+    log_q = top[:, 0] + np.log(total) - ld(nodes.log_z)
+    return log_q, -(xl - mu * (w @ pts) / total[:, None]) / sig2
+
+
+def test_underflowed_factored_rows_fall_back_to_log_domain(monkeypatch):
+    orc = _holed_grid_oracle()
+    t = 1e-3
+    x = np.array([[0.0, 0.0], [0.5, -0.7], [-1.0, 1.2], [1.3, 0.1], [3.0, 2.0], [-4.0, 0.5]])
+    inside = (np.abs(x) < 1.5).all(axis=1)
+    calls = _recording_reduce(monkeypatch)
+    log_q = orc.guided_logdensity(x, t, route="quad")
+    assert calls == np.flatnonzero(inside).tolist() and inside.sum() > 0
+    calls.clear()
+    score = orc.guided_score(x, t, route="quad")
+    assert calls == np.flatnonzero(inside).tolist()
+
+    want_log_q, want_score = _long_double_log_q_and_score(orc, x, t)
     assert np.abs(log_q - want_log_q).max() < 1e-12 * np.abs(want_log_q).max()
     assert np.abs(score - want_score).max() < 1e-12 * np.abs(want_score).max()
+
+
+def test_underflowed_nodes_fall_back_to_log_domain(monkeypatch):
+    # The node route queries every cell of the holed grid.  The ring of empty
+    # cells next to filled ones keeps a factored sum near 1e-246, above the
+    # floor; every empty cell further in takes the log-domain reduction.
+    orc = _holed_grid_oracle()
+    t = 1e-3
+    pts = orc.nodes.points
+    cell = 12.0 / 64
+    deep = np.flatnonzero((np.abs(pts) < 1.5 - cell).all(axis=1))
+    calls = _recording_reduce(monkeypatch)
+    log_q, score = orc.node_logdensity_and_score(t)
+    assert calls == deep.tolist() and len(deep) == 14 * 14
+
+    hole = np.flatnonzero((np.abs(pts) < 1.5).all(axis=1))
+    pick = np.concatenate([hole, [0, 100, 2080, 4095]])
+    want_log_q, want_score = _long_double_log_q_and_score(orc, pts[pick], t)
+    assert np.abs(log_q[pick] - want_log_q).max() < 1e-12 * np.abs(want_log_q).max()
+    assert np.abs(score[pick] - want_score).max() < 1e-12 * np.abs(want_score).max()
+
+
+@pytest.mark.parametrize("case", ["ot-48", "ot-64", "vp-48", "vp-64", "gauss1d"])
+def test_node_route_matches_point_route(case):
+    # the node set contracted over its own grid against one kernel row per node
+    if case == "gauss1d":
+        orc = GuidedOracle(make_dataset("gauss1d"), EnergySpec.linear([1.0], 1.0), PathSchedule.ot(), grid_res=32)
+    else:
+        kind, res = case.split("-")
+        sched = PathSchedule.ot() if kind == "ot" else PathSchedule.vp()
+        orc = GuidedOracle(make_dataset("8gaussians"), BENCH_ENERGY, sched, grid_res=int(res))
+    pts = orc.nodes.points
+    for t in (0.01, 0.05, 0.25, 0.5, 0.75, 0.999):
+        log_q, score = orc.node_logdensity_and_score(t)
+        want_log_q = orc.guided_logdensity(pts, t, route="quad")
+        want_score = orc.guided_score(pts, t, route="quad")
+        assert np.abs(log_q - want_log_q).max() < 1e-11 * np.abs(want_log_q).max(), t
+        assert np.abs(score - want_score).max() < 1e-11 * np.abs(want_score).max(), t
 
 
 def test_quadrature_matches_closed_form_when_box_covers_tails():

@@ -223,17 +223,19 @@ def test_marginal_exact_losses_take_one_kernel_pass_per_time(monkeypatch):
     calls = []
     kernel = GuidedOracle._axis_log_kernels
 
-    def counting(self, x, *args):
-        calls.append(len(x))
-        return kernel(self, x, *args)
+    def counting(self, qs, *args):
+        calls.append([len(q) for q in qs])
+        return kernel(self, qs, *args)
 
     monkeypatch.setattr(GuidedOracle, "_axis_log_kernels", counting)
-    n_nodes = oracle.grid_res**2
+    # the node grid is its own query set: per time one (n, n) kernel per
+    # axis, never one kernel row per node
+    n = oracle.grid_res
     t_nodes = [0.25, 0.5, 0.75]
     for fn in (loss_efm_exact, loss_ed_exact):
         calls.clear()
         fn(model, oracle, t_nodes)
-        assert calls == [n_nodes] * len(t_nodes)
+        assert calls == [[n, n]] * len(t_nodes)
 
 
 @pytest.mark.parametrize("grid_res", [48, 56])
