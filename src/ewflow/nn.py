@@ -4,9 +4,10 @@ The architectures here are tiny and fixed, so the backward pass is written
 layer by layer rather than through a general tape; every gradient is checked
 against finite differences in the test suite.  Inputs are the concatenation
 x (+) sinusoidal-time-embedding (+) optional context (+) optional embedded
-guidance scale.  One layer loop serves forward and forward_cached; a sampler
-passes it a workspace so that its network evaluations reuse one set of
-buffers, and the output it returns is always fresh.
+guidance scale.  One layer loop serves forward and forward_cached.  A
+sampler call and a training loop each pass it one workspace, so that their
+network evaluations reuse one set of activation buffers instead of faulting
+in fresh ones; the output it returns is always fresh.
 """
 
 from __future__ import annotations
@@ -205,9 +206,11 @@ def forward_cached(model: MlpModel, x, t=None, context=None, beta_norm=None, wor
     context is one (d,) vector for all rows, or (n, d).
     The input columns and each hidden layer's pre-activation, sigmoid and
     activation go into buffers of the optional workspace (a dict, reused by
-    every call with the same row count), or into fresh arrays without one;
-    the cache refers to those buffers, so it holds only until the workspace's
-    next call.  The output is always a fresh array that no later call touches.
+    every call with the same row count), or into fresh arrays without one.
+    Sampler calls (one workspace per ODE solve) and training loops (one per
+    loop, each forward_cached followed by its backward) pass one.  The cache
+    refers to those buffers, so it holds only until the workspace's next
+    call.  The output is always a fresh array that no later call touches.
     """
     h = _assemble_input(model, x, t, context, beta_norm, workspace)
     n = h.shape[0]
@@ -260,7 +263,8 @@ def backward(model: MlpModel, cache, upstream: np.ndarray) -> np.ndarray:
         np.matmul(activations[i].T, g, out=grads_w[i])
         g.sum(axis=0, out=grads_b[i])
         if i > 0:
-            g = g @ model.weights[i].T
+            # np.dot: matmul does not hand a one-column g (out_dim 1) to BLAS
+            g = np.dot(g, model.weights[i].T)
     return grad
 
 

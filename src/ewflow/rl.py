@@ -188,9 +188,12 @@ def behavior_pretrain(
     )
     adam = AdamState.for_model(model, lr=lr)
     srng = rng.derive(1)
+    workspace: dict = {}
     for _ in range(steps):
         b = build_weighted_batch(dataset.actions, None, sched, srng, batch)
-        _, grad = _POLICY_LOSS[kind](model, b, sched, context=dataset.states[b.idx])
+        _, grad = _POLICY_LOSS[kind](
+            model, b, sched, context=dataset.states[b.idx], workspace=workspace
+        )
         adam_step(adam, model, grad)
     return model
 
@@ -368,23 +371,25 @@ def qipo_iterate(
     adam = AdamState.for_model(policy, lr=cfg.lr)
     action_scale = max(float(np.abs(dataset.actions).mean()), 1e-6)
 
-    support: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    support: list[tuple[np.ndarray, np.ndarray]] = []
     eval_rows = []
     renewals = 0
     epoch_rng = rng.derive(1)
+    # The fit's activation buffers; emptied before every sampler call (support
+    # renewal and evaluation), so they never coexist with a sampler's own.
+    workspace: dict = {}
     for k in range(1, cfg.k3 + 1):
-        renew = (k - 1) % cfg.k_renew == 0
-        if renew:
-            # Freeze the averaged policy for this renewal round so every
-            # batch's support reflects the same refinement stage.
-            sampler_policy = policy_target.copy()
+        if (k - 1) % cfg.k_renew == 0:
+            # Renew every batch's support before this epoch's fits, so every
+            # batch's support comes from the same averaged policy; each batch
+            # draws from its own stream, epoch_rng.derive(k, bi).
+            workspace.clear()
             renewals += 1
-        for bi, idx in enumerate(batches):
-            states = dataset.states[idx]
-            actions = dataset.actions[idx]
-            if renew:
+            support = []
+            for bi, idx in enumerate(batches):
+                states = dataset.states[idx]
                 acts = build_support_set(
-                    sampler_policy, cfg.policy_kind, sched, states, actions,
+                    policy_target, cfg.policy_kind, sched, states, dataset.actions[idx],
                     cfg.m_support, epoch_rng.derive(k, bi), ode_steps=cfg.ode_steps,
                 )
                 scale = float(np.abs(acts[:, 1:, :]).mean())
@@ -397,18 +402,22 @@ def qipo_iterate(
                     np.repeat(states, cfg.m_support + 1, axis=0),
                     acts.reshape(-1, acts.shape[-1]),
                 ).reshape(len(idx), cfg.m_support + 1)
-                support[bi] = (acts, support_weights(qv, cfg.beta))
-            acts, g = support[bi]
+                support.append((acts, support_weights(qv, cfg.beta)))
+        for idx, (acts, g) in zip(batches, support):
+            states = dataset.states[idx]
             bsz, m1, da = acts.shape
             flat_a = acts.reshape(-1, da)
             flat_s = np.repeat(states, m1, axis=0)
             t = epoch_rng.uniform(T_EPS, 1.0 - T_EPS, bsz * m1)
             a_t, eps = perturb(sched, flat_a, t, epoch_rng)
             fit_batch = WeightedBatch(flat_a, g.ravel() / bsz, t, eps, a_t)
-            _, grad = _POLICY_LOSS[cfg.policy_kind](policy, fit_batch, sched, context=flat_s)
+            _, grad = _POLICY_LOSS[cfg.policy_kind](
+                policy, fit_batch, sched, context=flat_s, workspace=workspace
+            )
             adam_step(adam, policy, grad)
             soft_update(policy_target, policy, cfg.lambda_soft)
         if k % cfg.eval_every == 0 or k == cfg.k3:
+            workspace.clear()
             eval_rows.append(
                 _eval_row(policy, cfg, sched, dataset, spec, k, renewals, rng.derive(2, k))
             )

@@ -107,35 +107,53 @@ def build_weighted_batch(
     return WeightedBatch(x0, g, t, eps, x_t, idx)
 
 
-def _weighted_field_loss(model: MlpModel, inputs, targets, weights, t, context=None, beta_norm=None):
-    pred, cache = forward_cached(model, inputs, t, context=context, beta_norm=beta_norm)
+def _weighted_field_loss(
+    model: MlpModel, inputs, targets, weights, t, context=None, beta_norm=None, workspace=None
+):
+    """(loss, flat gradient) of sum_i w_i ||net(inputs_i) - target_i||^2.
+
+    A training loop passes its one workspace (see forward_cached); the
+    backward pass runs before the call returns, so the next call may reuse it.
+    """
+    pred, cache = forward_cached(
+        model, inputs, t, context=context, beta_norm=beta_norm, workspace=workspace
+    )
     resid = pred - targets
     loss = float((weights * (resid**2).sum(axis=1)).sum())
     upstream = 2.0 * weights[:, None] * resid
     return loss, backward(model, cache, upstream)
 
 
-def loss_cfm(model: MlpModel, batch: WeightedBatch, sched: PathSchedule):
+def loss_cfm(model: MlpModel, batch: WeightedBatch, sched: PathSchedule, workspace=None):
     """Unweighted conditional flow matching (mean over the batch)."""
     target = cond_velocity(sched, batch.x_t, batch.x0, batch.times)
     uniform = np.full(len(batch.x0), 1.0 / len(batch.x0))
-    return _weighted_field_loss(model, batch.x_t, target, uniform, batch.times)
+    return _weighted_field_loss(
+        model, batch.x_t, target, uniform, batch.times, workspace=workspace
+    )
 
 
-def loss_cefm(model: MlpModel, batch: WeightedBatch, sched: PathSchedule, context=None):
+def loss_cefm(
+    model: MlpModel, batch: WeightedBatch, sched: PathSchedule, context=None, workspace=None
+):
     """Energy-weighted conditional flow matching: weights on per-datum velocities."""
     target = cond_velocity(sched, batch.x_t, batch.x0, batch.times)
-    return _weighted_field_loss(model, batch.x_t, target, batch.weights, batch.times, context)
+    return _weighted_field_loss(
+        model, batch.x_t, target, batch.weights, batch.times, context, workspace=workspace
+    )
 
 
-def loss_ced(model: MlpModel, batch: WeightedBatch, sched: PathSchedule, beta_norm=None, context=None):
+def loss_ced(
+    model: MlpModel, batch: WeightedBatch, sched: PathSchedule, beta_norm=None, context=None,
+    workspace=None,
+):
     """Energy-weighted denoising score matching in noise-prediction form.
 
     Per sample this is sigma_t^2 * g_i * ||s_theta(x_t) + eps/sigma_t||^2 with
     s_theta = -n_theta / sigma_t, i.e. g_i * ||n_theta(x_t) - eps||^2.
     """
     return _weighted_field_loss(
-        model, batch.x_t, batch.eps, batch.weights, batch.times, context, beta_norm
+        model, batch.x_t, batch.eps, batch.weights, batch.times, context, beta_norm, workspace
     )
 
 
@@ -145,7 +163,10 @@ def make_classifier_labels(data: np.ndarray, energy: EnergySpec, rng: Rng) -> np
     return (rng.uniform(size=len(data)) < p).astype(np.int64)
 
 
-def loss_cfg_pair(model: MlpModel, batch: WeightedBatch, labels: np.ndarray, sched: PathSchedule):
+def loss_cfg_pair(
+    model: MlpModel, batch: WeightedBatch, labels: np.ndarray, sched: PathSchedule,
+    workspace=None,
+):
     """loss_ced for the null-token and class-token passes of one network.
 
     The unconditional term weights every sample 1/n, whatever batch.weights
@@ -157,10 +178,12 @@ def loss_cfg_pair(model: MlpModel, batch: WeightedBatch, labels: np.ndarray, sch
     n = len(batch.x0)
     mask = labels.astype(float)
     loss_u, grad_u = loss_ced(
-        model, replace(batch, weights=np.full(n, 1.0 / n)), sched, context=CTX_NULL
+        model, replace(batch, weights=np.full(n, 1.0 / n)), sched, context=CTX_NULL,
+        workspace=workspace,
     )
     loss_c, grad_c = loss_ced(
-        model, replace(batch, weights=mask / max(mask.sum(), 1.0)), sched, context=CTX_COND
+        model, replace(batch, weights=mask / max(mask.sum(), 1.0)), sched, context=CTX_COND,
+        workspace=workspace,
     )
     return loss_u, loss_c, grad_u + grad_c
 
@@ -221,16 +244,20 @@ def _kernel_moments(node_set, w: np.ndarray, mu: float, sig2: float):
     the (ny, nx) grid) with one kernel k[i, j] = N(g_i; mu g_j, sig2) per axis:
     Ky W Kx^T in 2D, K w in 1D.  Kernels are direct differences (an expanded
     square loses digits to cancellation) built in row blocks (node_blocks).
+    Each block of kernel rows gives the rows of its product with the
+    flattened grid, so no entry's sum depends on the split; as the columns
+    of the product (grid @ kernel^T) they did.
     """
     out = np.stack([w, *(w * node_set.points.T), w * (node_set.points**2).sum(-1)])
     out = out.reshape(len(out), *[len(g) for g in reversed(node_set.axes)])
-    for g in node_set.axes:  # contract the last (fastest) axis, then rotate it to the front
-        res = np.empty_like(out)
+    for g in node_set.axes:  # contract the last (fastest) axis into a new first axis
+        flat = out.reshape(-1, len(g))
+        res = np.empty((len(g), len(flat)))
         for sl in node_blocks(len(g), len(g)):
             kern = np.exp(-0.5 * (g[sl, None] - mu * g) ** 2 / sig2) / np.sqrt(2.0 * np.pi * sig2)
-            res[..., sl] = out @ kern.T
-        out = np.moveaxis(res, -1, 1)
-    out = out.reshape(len(out), -1)
+            res[sl] = kern @ flat.T
+        out = res.reshape(len(g), *out.shape[:-1])
+    out = np.moveaxis(out, -1, 0).reshape(out.shape[-1], -1)
     return out[0], out[1:-1].T, out[-1]
 
 
@@ -349,6 +376,7 @@ def train_density_model(cfg: TrainConfig) -> TrainResult:
     labels = make_classifier_labels(data, cfg.energy, rng.derive(3)) if kind == "cfg_pair" else None
 
     batch_rng = rng.derive(2)
+    workspace: dict = {}  # activation buffers, reused by every step's forward_cached
     rows = []
     start = time.perf_counter()
     for step in range(1, cfg.steps + 1):
@@ -357,15 +385,19 @@ def train_density_model(cfg: TrainConfig) -> TrainResult:
         energy = None if kind == "cfg_pair" else cfg.energy
         batch = build_weighted_batch(data, energy, cfg.sched, batch_rng, cfg.batch, beta=beta)
         if kind == "cfg_pair":
-            lu, lc, grad = loss_cfg_pair(model, batch, labels[batch.idx], cfg.sched)
+            lu, lc, grad = loss_cfg_pair(
+                model, batch, labels[batch.idx], cfg.sched, workspace=workspace
+            )
             loss = lu + lc
         elif cfg.loss == "cfm":
-            loss, grad = loss_cfm(model, batch, cfg.sched)
+            loss, grad = loss_cfm(model, batch, cfg.sched, workspace=workspace)
         elif kind == "velocity":
-            loss, grad = loss_cefm(model, batch, cfg.sched)
+            loss, grad = loss_cefm(model, batch, cfg.sched, workspace=workspace)
         else:
             beta_norm = None if beta is None else beta / cfg.beta_max
-            loss, grad = loss_ced(model, batch, cfg.sched, beta_norm=beta_norm)
+            loss, grad = loss_ced(
+                model, batch, cfg.sched, beta_norm=beta_norm, workspace=workspace
+            )
         adam_step(adam, model, grad)
         if step % cfg.log_every == 0 or step == cfg.steps:
             rows.append((step, loss, (time.perf_counter() - start) * 1000.0))

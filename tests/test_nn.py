@@ -356,15 +356,25 @@ def test_weights_and_biases_are_views_of_params():
 
 
 @pytest.mark.parametrize(
-    "hidden, embed_dim, context_dim, rows",
-    [((64, 64), 32, 3, 512), ((16,), 8, 0, 64)],
-    ids=["64x64-e32-context", "16-e8"],
+    "hidden, embed_dim, context_dim, rows, out_dim, workspace",
+    [
+        ((64, 64), 32, 3, 512, 2, None),
+        ((16,), 8, 0, 64, 2, None),
+        # backward's last product is then an outer product (np.dot), and the
+        # one workspace serves all 20 steps
+        ((64, 64), 32, 1, 2176, 1, {}),
+    ],
+    ids=["64x64-e32-context", "16-e8", "64x64-e32-out1-workspace"],
 )
-def test_flat_training_loop_matches_per_layer_reference(hidden, embed_dim, context_dim, rows):
+def test_flat_training_loop_matches_per_layer_reference(
+    hidden, embed_dim, context_dim, rows, out_dim, workspace
+):
     """forward_cached -> backward -> adam_step -> soft_update on the flat vector
     against the same 20 steps over one array per weight and bias."""
     lr, beta1, beta2, eps, lam = 1e-3, 0.9, 0.999, 1e-8, 0.05
-    model = MlpModel.init(2, 2, Rng(42), hidden=hidden, embed_dim=embed_dim, context_dim=context_dim)
+    model = MlpModel.init(
+        2, out_dim, Rng(42), hidden=hidden, embed_dim=embed_dim, context_dim=context_dim
+    )
     target = model.copy()
     adam = AdamState.for_model(model, lr=lr)
     ref = SimpleNamespace(
@@ -382,11 +392,11 @@ def test_flat_training_loop_matches_per_layer_reference(hidden, embed_dim, conte
 
     data = Rng(43)
     for step in range(1, 21):
-        x, y = data.normal((rows, 2)), data.normal((rows, 2))
+        x, y = data.normal((rows, 2)), data.normal((rows, out_dim))
         t = data.uniform(T_EPS, 1.0 - T_EPS, rows)
         ctx = data.normal((rows, context_dim)) if context_dim else None
 
-        out, cache = forward_cached(model, x, t, context=ctx)
+        out, cache = forward_cached(model, x, t, context=ctx, workspace=workspace)
         adam_step(adam, model, backward(model, cache, 2.0 * (out - y) / rows))
         soft_update(target, model, lam)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ewflow import rl
+from ewflow import rl, training
 from ewflow.metrics import sliced_wasserstein
 from ewflow.nn import AdamState, MlpModel
 from ewflow.paths import PathSchedule
@@ -196,6 +196,69 @@ def test_qipo_eval_rows_count_support_renewals():
     for row in res.eval_rows:
         assert row["cycles"] == res.support_renewals
         np.testing.assert_array_equal(row["analytic_target"], [0.5, -0.25])
+
+
+def _record_workspaces(monkeypatch, drop: bool):
+    """Wrap training.forward_cached, through which every policy fit runs: the
+    list it returns collects the workspaces handed to it, and with drop the
+    call runs on fresh buffers instead."""
+    handed, real = [], training.forward_cached
+
+    def recorded(*args, workspace=None, **kwargs):
+        handed.append(workspace)
+        return real(*args, **kwargs, workspace=None if drop else workspace)
+
+    monkeypatch.setattr(training, "forward_cached", recorded)
+    return handed
+
+
+@pytest.mark.parametrize("kind", ["score", "velocity"])
+def test_behavior_pretrain_workspace_is_bit_identical_to_fresh_buffers(monkeypatch, kind):
+    ds = make_bandit_dataset(BanditSpec(w=[1.0, -0.5]), 256, Rng(40))
+    run = lambda: behavior_pretrain(ds, SCHED, Rng(41), kind=kind, steps=30, batch=64)  # noqa: E731
+    handed = _record_workspaces(monkeypatch, drop=False)
+    shipped = run()
+    assert len(handed) == 30 and handed[0] is not None
+    assert all(ws is handed[0] for ws in handed)
+    monkeypatch.undo()
+    _record_workspaces(monkeypatch, drop=True)
+    assert np.array_equal(shipped.params, run().params)
+
+
+def test_qipo_fit_workspace_is_bit_identical_and_empty_while_sampling(monkeypatch):
+    # k_renew < k3 renews the support twice; eval_every = 2 does not divide
+    # k_renew = 3, so evaluations fall both on and between renewal epochs
+    spec = BanditSpec(w=[1.0])
+    ds = make_bandit_dataset(spec, 96, Rng(42))
+    policy = behavior_pretrain(ds, SCHED, Rng(43), steps=50, batch=64)
+    cfg = QipoConfig(
+        beta=1.0, m_support=3, k_renew=3, k3=5, batch=32, lr=1e-3, ode_steps=4,
+        eval_every=2, eval_n=32,
+    )
+    handed = _record_workspaces(monkeypatch, drop=False)
+    sample = rl.sample_policy_actions
+    sampled_with = []
+
+    def sample_checked(*args, **kwargs):
+        # every sampler call, for support renewal or evaluation, finds the
+        # fit's buffers freed
+        sampled_with.append(len(handed[-1]) if handed else 0)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(rl, "sample_policy_actions", sample_checked)
+    shipped = qipo_iterate(policy.copy(), spec.q_values, ds, SCHED, cfg, Rng(44), spec=spec)
+    assert len(handed) == cfg.k3 * 3 and handed[0] is not None
+    assert all(ws is handed[0] for ws in handed)
+    # two renewals of three batches, evaluations at epochs 2, 4 and 5
+    assert len(sampled_with) == 2 * 3 + 3 and set(sampled_with) == {0}
+    monkeypatch.undo()
+    _record_workspaces(monkeypatch, drop=True)
+    fresh = qipo_iterate(policy.copy(), spec.q_values, ds, SCHED, cfg, Rng(44), spec=spec)
+    assert np.array_equal(shipped.policy.params, fresh.policy.params)
+    assert shipped.support_renewals == fresh.support_renewals == 2
+    for a, b in zip(shipped.eval_rows, fresh.eval_rows, strict=True):
+        assert a["epoch"] == b["epoch"] and a["sw_distance"] == b["sw_distance"]
+        assert np.array_equal(a["policy_mean"], b["policy_mean"])
 
 
 def test_qipo_divergence_detector(monkeypatch):

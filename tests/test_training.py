@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ewflow
 from ewflow import grids, training
 from ewflow.datasets import make_dataset
 from ewflow.energies import EnergySpec
@@ -240,20 +246,27 @@ def test_marginal_exact_losses_take_one_kernel_pass_per_time(monkeypatch):
 
 @pytest.mark.parametrize("grid_res", [48, 56])
 def test_exact_loss_blocks_are_bit_identical_to_one_block(monkeypatch, grid_res):
-    # 48 is the acceptance-05 grid; at 56 a greedy split of the 3136 probe rows
-    # into 334-row blocks would leave a short last block of 130 rows
+    # 48 is the acceptance-05 grid.  A budget of 20 kernel rows splits each
+    # (n, n) per-axis kernel into three blocks: 16 rows each at 48, and at 56
+    # near-equal blocks where a greedy split would leave a short last block of 16.
     oracle, model = _exact_setup(grid_res=grid_res)
-    n_nodes = len(oracle.nodes.points)
     t_nodes = [0.25, 0.5, 0.75]
     fns = (loss_efm_exact, loss_cefm_exact, loss_ed_exact, loss_ced_exact)
-    assert len(list(grids.node_blocks(n_nodes, n_nodes))) > 1
     shipped = [fn(model, oracle, t_nodes) for fn in fns]
-    monkeypatch.setattr(grids, "_BLOCK_BYTES", 8 * n_nodes * n_nodes)
-    assert len(list(grids.node_blocks(n_nodes, n_nodes))) == 1
+    splits, node_blocks = [], training.node_blocks
+
+    def recorded(n_rows, n_nodes):
+        blocks = list(node_blocks(n_rows, n_nodes))
+        splits.append(len(blocks))
+        return blocks
+
+    monkeypatch.setattr(training, "node_blocks", recorded)
+    monkeypatch.setattr(grids, "_BLOCK_BYTES", 8 * grid_res * 20)
     for fn, (loss, grads) in zip(fns, shipped):
-        loss_one, grads_one = fn(model, oracle, t_nodes)
-        assert loss == loss_one
-        assert np.array_equal(_flat(grads), _flat(grads_one))
+        loss_split, grads_split = fn(model, oracle, t_nodes)
+        assert loss == loss_split
+        assert np.array_equal(_flat(grads), _flat(grads_split))
+    assert splits and min(splits) >= 3
 
 
 @pytest.mark.parametrize("t", [0.02, 0.35, 0.98])
@@ -345,6 +358,77 @@ def test_train_density_model_deterministic():
     b = train_density_model(cfg)
     assert np.array_equal(a.model.flat_params(), b.model.flat_params())
     assert [r[:2] for r in a.log_rows] == [r[:2] for r in b.log_rows]
+
+
+def _drop_workspace(monkeypatch):
+    """Run training.forward_cached without the workspace it is handed; returns
+    the list of the workspaces it was handed, None where there was none."""
+    handed, real = [], training.forward_cached
+
+    def fresh(*args, workspace=None, **kwargs):
+        handed.append(workspace)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(training, "forward_cached", fresh)
+    return handed
+
+
+@pytest.mark.parametrize("loss", training.LOSS_KINDS)
+def test_training_loop_workspace_is_bit_identical_to_fresh_buffers(monkeypatch, loss):
+    # cfg's step makes two loss_ced calls that share the one workspace
+    energy = EnergySpec.quadratic([0.25, 0.25], 1.0, center=[2.0, 0.0], classifier=True)
+    cfg = TrainConfig(
+        dataset="bimodal2d", loss=loss, sched=PathSchedule.vp(), energy=energy, steps=40,
+        batch=64, lr=1e-3, seed=5, hidden=(16, 16), embed_dim=8, n_data=1024, beta_max=2.0,
+        log_every=10,
+    )
+    shipped = train_density_model(cfg)
+    handed = _drop_workspace(monkeypatch)
+    fresh = train_density_model(cfg)
+    assert len(handed) == cfg.steps * (2 if loss == "cfg" else 1)
+    assert len({id(ws) for ws in handed}) == 1 and handed[0] is not None
+    assert np.array_equal(shipped.model.params, fresh.model.params)
+    assert [r[:2] for r in shipped.log_rows] == [r[:2] for r in fresh.log_rows]
+
+
+def test_training_loop_does_not_refault_its_buffers():
+    # The 64x64/e32, batch-512 recipe of acceptance 01/02/11.  Fresh (512, 64)
+    # activation buffers every step were unmapped and faulted in again by the
+    # allocator: 0.56 minor faults per row.  Steps 51..250 are counted, after
+    # the first steps have grown the heap.  The child runs BLAS on one thread,
+    # as the benchmark does: with two BLAS threads the loop also re-faults the
+    # time embedding's and backward's temporaries (0.19 per row), which no
+    # workspace holds.
+    code = """
+import resource
+from ewflow import training
+from ewflow.energies import EnergySpec
+from ewflow.paths import PathSchedule
+
+warm, counted, batch = 50, 200, 512
+cfg = training.TrainConfig(
+    dataset="gauss1d", loss="ced", sched=PathSchedule.vp(),
+    energy=EnergySpec.linear([1.0], 1.0), steps=warm + counted, batch=batch, lr=5e-4,
+    seed=1, hidden=(64, 64), embed_dim=32, n_data=65_536,
+)
+real, reads = training.adam_step, []
+
+def step(*args):
+    real(*args)
+    if args[0].step in (warm, warm + counted):
+        reads.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+
+training.adam_step = step
+training.train_density_model(cfg)
+print((reads[1] - reads[0]) / (counted * batch))
+"""
+    src = str(Path(ewflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout.split()[-1]) < 0.05
 
 
 def test_train_config_validation():
