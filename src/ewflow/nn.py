@@ -2,9 +2,10 @@
 
 The architectures here are tiny and fixed, so the backward pass is written
 layer by layer rather than through a general tape; every gradient is checked
-against finite differences in the test suite.  Inputs are the concatenation
-x (+) sinusoidal-time-embedding (+) optional context (+) optional embedded
-guidance scale.  One layer loop serves forward and forward_cached.  A
+against finite differences in the test suite.  The input is [x, emb(t),
+context?, emb(beta)?], each part written into its column block of one input
+buffer; the sinusoidal embeddings take sin and cos from one tangent of the
+half angle.  One layer loop serves forward and forward_cached.  A
 sampler call and a training loop each pass it one workspace, so that their
 network evaluations reuse one set of activation buffers instead of faulting
 in fresh ones; the output it returns is always fresh.
@@ -38,14 +39,31 @@ __all__ = [
 ]
 
 
-def time_embedding(t: np.ndarray, dim: int) -> np.ndarray:
-    """Sinusoidal features of a scalar in [0, 1]; frequencies ladder 1..1e4."""
+def time_embedding(t: np.ndarray, dim: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Sinusoidal features [sin(a), cos(a)] of per-row t, a = t * freqs, freqs 1..1e4.
+
+    Both come from one tangent of the half angle, u = tan(a/2): sin a =
+    2u/(1 + u^2) and cos a = (1 - u^2)/(1 + u^2); numpy's float64 tan is
+    vectorized where its sin and cos are not.  tan and the arithmetic run on
+    contiguous (rows, dim/2) temporaries; only the two divides write into out,
+    an (rows, dim) array or column block, fresh when None.
+    """
     if dim % 2 != 0:
         raise ValueError("embedding dimension must be even")
     half = dim // 2
-    freqs = 10.0 ** (4.0 * np.arange(half) / max(half - 1, 1))
-    ang = np.asarray(t, dtype=float)[:, None] * freqs[None, :]
-    return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
+    t = np.asarray(t, dtype=float)
+    if out is None:
+        out = np.empty((len(t), dim))
+    half_freqs = 0.5 * 10.0 ** (4.0 * np.arange(half) / max(half - 1, 1))
+    u = np.multiply(t[:, None], half_freqs)
+    np.tan(u, out=u)
+    sq = np.square(u)
+    den = sq + 1.0
+    u *= 2.0
+    np.divide(u, den, out=out[:, :half])
+    np.subtract(1.0, sq, out=sq)
+    np.divide(sq, den, out=out[:, half:])
+    return out
 
 
 @dataclass
@@ -147,10 +165,12 @@ def _buffer(workspace: dict | None, key: str, shape: tuple) -> np.ndarray:
     return buf
 
 
-def _embedded(v, n: int, dim: int) -> np.ndarray:
-    """Embedding of a scalar as one (1, dim) row, or of a per-row value as (n, dim)."""
-    v = np.asarray(v, dtype=float)
-    return time_embedding(v.reshape(1) if v.ndim == 0 else np.broadcast_to(v, (n,)), dim)
+def _embed_into(out: np.ndarray, v: np.ndarray) -> None:
+    """Embed a scalar once and broadcast it to every row of out, or embed per-row values."""
+    if v.ndim == 0:
+        out[:] = time_embedding(v.reshape(1), out.shape[1])
+    else:
+        time_embedding(np.broadcast_to(v, (len(out),)), out.shape[1], out=out)
 
 
 def _assemble_input(model: MlpModel, x, t, context, beta_norm, workspace) -> np.ndarray:
@@ -158,12 +178,18 @@ def _assemble_input(model: MlpModel, x, t, context, beta_norm, workspace) -> np.
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != model.in_dim:
         raise ValueError(f"input dim {x.shape[1]} != model in_dim {model.in_dim}")
-    n = x.shape[0]
-    parts = [x]
-    if model.embed_dim > 0:
+    n, e = x.shape[0], model.embed_dim
+    h = _buffer(workspace, "input", (n, model.input_width))
+    h[:, : model.in_dim] = x
+    col = model.in_dim
+    if e > 0:
         if t is None:
             raise ValueError("model embeds time; t is required")
-        parts.append(_embedded(t, n, model.embed_dim))
+        t = np.asarray(t, dtype=float)
+        if not np.all(np.isfinite(t)):
+            raise ValueError("t must be finite")
+        _embed_into(h[:, col : col + e], t)
+        col += e
     if model.context_dim > 0:
         if context is None:
             raise ValueError("model expects a context vector")
@@ -172,23 +198,19 @@ def _assemble_input(model: MlpModel, x, t, context, beta_norm, workspace) -> np.
             context = np.broadcast_to(context, (n, len(context)))
         if context.shape != (n, model.context_dim):
             raise ValueError(f"context shape {context.shape} != {(n, model.context_dim)}")
-        parts.append(context)
+        h[:, col : col + model.context_dim] = context
+        col += model.context_dim
     elif context is not None:
         raise ValueError("model takes no context")
     if model.accepts_beta:
         if beta_norm is None:
             raise ValueError("model conditions on beta; beta_norm is required")
         bn = np.asarray(beta_norm, dtype=float)
-        if np.any(bn < 0) or np.any(bn > 1):
+        if not np.all((bn >= 0) & (bn <= 1)):  # NaN fails both
             raise ValueError("beta_norm must lie in [0, 1]")
-        parts.append(_embedded(bn, n, model.embed_dim))
+        _embed_into(h[:, col:], bn)
     elif beta_norm is not None:
         raise ValueError("model does not condition on beta")
-    h = _buffer(workspace, "input", (n, model.input_width))
-    col = 0
-    for part in parts:
-        h[:, col : col + part.shape[1]] = part
-        col += part.shape[1]
     return h
 
 

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from ewflow import nn
 from ewflow.nn import (
     AdamState,
     MlpModel,
@@ -17,8 +18,9 @@ from ewflow.nn import (
     soft_update,
     time_embedding,
 )
-from ewflow.paths import T_EPS
+from ewflow.paths import T_EPS, PathSchedule
 from ewflow.rng import Rng
+from ewflow.sampling import SamplerConfig, generate
 
 
 def test_zero_parameters_give_zero_output():
@@ -57,6 +59,62 @@ def test_time_embedding_shape_and_range():
     assert np.abs(emb).max() <= 1.0
     with pytest.raises(ValueError):
         time_embedding(np.array([0.5]), 7)
+
+
+def _sin_cos_embedding(t, dim, out=None):
+    """np.sin and np.cos of t * freqs: the embedding that checkpoints written
+    before the half-angle tangent were trained with."""
+    half = dim // 2
+    ang = np.asarray(t, dtype=float)[:, None] * 10.0 ** (4.0 * np.arange(half) / max(half - 1, 1))
+    emb = np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
+    if out is None:
+        return emb
+    out[:] = emb
+    return out
+
+
+def test_time_embedding_matches_sin_and_cos():
+    t = np.concatenate([[0.0, T_EPS, 0.5, 1.0 - T_EPS, 1.0], Rng(50).uniform(0.0, 1.0, 10_000)])
+    for dim in range(2, 129, 2):
+        emb = time_embedding(t, dim)
+        assert np.abs(emb - _sin_cos_embedding(t, dim)).max() <= 4.5e-16, dim
+        assert np.abs(emb).max() <= 1.0, dim
+
+
+def test_time_embedding_writes_into_a_column_block():
+    t = Rng(51).uniform(0.0, 1.0, 37)
+    wide = np.full((37, 50), 7.0)
+    block = wide[:, 5:37]
+    assert time_embedding(t, 32, out=block) is block
+    assert np.array_equal(block, time_embedding(t, 32))
+    assert np.all(wide[:, :5] == 7.0) and np.all(wide[:, 37:] == 7.0)
+
+
+def test_old_checkpoints_move_by_rounding_only(tmp_path, monkeypatch):
+    # A checkpoint trained with the np.sin/np.cos embedding, read back through
+    # its float32 blob: forward and a Heun-15 draw under the half-angle
+    # tangent stay within 1e-12 of the same under sin and cos (measured:
+    # 6.7e-16 on outputs up to 2.3, 1.3e-15 on draws up to 5.7).
+    rng = Rng(52)
+    model = MlpModel.init(2, 2, rng, hidden=(64, 64), embed_dim=32, accepts_beta=True)
+    for b in model.biases:
+        b[:] = rng.normal(b.shape)
+    save_checkpoint(model, tmp_path / "old.bin", meta={"model_kind": "velocity", "beta_max": 2.0})
+    model, meta = load_checkpoint(tmp_path / "old.bin")
+    x, t = Rng(53).normal((512, 2)), Rng(54).uniform(T_EPS, 1.0 - T_EPS, 512)
+    cfg = SamplerConfig(kind="heun", steps=15, n=4000)
+
+    def outputs():
+        return (
+            forward(model, x, t, beta_norm=0.5),
+            generate(model, meta, PathSchedule.vp(), cfg, Rng(55), guidance_beta=1.0),
+        )
+
+    new_out, new_draws = outputs()
+    monkeypatch.setattr(nn, "time_embedding", _sin_cos_embedding)
+    old_out, old_draws = outputs()
+    assert np.abs(new_out - old_out).max() <= 1e-12
+    assert np.abs(new_draws - old_draws).max() <= 1e-12
 
 
 def test_backward_matches_finite_differences():
@@ -240,6 +298,24 @@ def test_input_validation():
     no_ctx = MlpModel.init(2, 2, Rng(23), hidden=(8,), embed_dim=4)
     with pytest.raises(ValueError, match="dim"):
         forward(no_ctx, np.zeros((3, 5)), np.full(3, 0.5))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_t_is_refused(bad):
+    model = MlpModel.init(2, 2, Rng(25), hidden=(8,), embed_dim=4)
+    with pytest.raises(ValueError, match="t must be finite"):
+        forward(model, np.zeros((3, 2)), bad)
+    with pytest.raises(ValueError, match="t must be finite"):
+        forward(model, np.zeros((3, 2)), np.array([0.5, bad, 0.5]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.1, 1.1])
+def test_beta_norm_outside_the_unit_interval_is_refused(bad):
+    model = MlpModel.init(2, 2, Rng(26), hidden=(8,), embed_dim=4, accepts_beta=True)
+    with pytest.raises(ValueError, match=r"beta_norm must lie in \[0, 1\]"):
+        forward(model, np.zeros((3, 2)), 0.5, beta_norm=bad)
+    with pytest.raises(ValueError, match=r"beta_norm must lie in \[0, 1\]"):
+        forward(model, np.zeros((3, 2)), 0.5, beta_norm=np.array([0.5, bad, 0.5]))
 
 
 def test_one_context_row_for_many_rows_is_refused():
