@@ -9,6 +9,14 @@ half angle.  One layer loop serves forward and forward_cached.  A
 sampler call and a training loop each pass it one workspace, so that their
 network evaluations reuse one set of activation buffers instead of faulting
 in fresh ones; the output it returns is always fresh.
+
+A workspace is a dict of (rows, width) buffers.  forward_cached keeps one
+input buffer and a pre-activation, sigmoid and activation buffer per hidden
+layer, since backward reads them all.  forward keeps no cache, so it holds
+only the input and one pre-activation/sigmoid pair per distinct hidden
+width, and writes each activation over its sigmoid; forward_workspace
+allocates that layout up front.  backward builds each SiLU' product in the
+activation buffer that the layer's weight gradient has already read.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ __all__ = [
     "time_embedding",
     "forward",
     "forward_cached",
+    "forward_workspace",
     "backward",
     "AdamState",
     "adam_step",
@@ -214,11 +223,40 @@ def _assemble_input(model: MlpModel, x, t, context, beta_norm, workspace) -> np.
     return h
 
 
+def _hidden_keys(model: MlpModel, cached: bool) -> list[tuple]:
+    """Workspace keys of each hidden layer: (pre-activation, sigmoid, activation).
+
+    With a cache every layer has its own three; without one, layers of one
+    width share a pre-activation/sigmoid pair, and the activation overwrites
+    the sigmoid (no key of its own).
+    """
+    if cached:
+        return [(f"pre{i}", f"sigmoid{i}", f"act{i}") for i in range(len(model.hidden))]
+    return [(f"pre:{w}", f"sigmoid:{w}", None) for w in model.hidden]
+
+
+def forward_workspace(model: MlpModel, rows: int) -> dict:
+    """A workspace for forward calls on this many rows, its buffers allocated now.
+
+    Allocating them on the thread that keeps the workspace keeps them in that
+    thread's heap; forward fills the same layout lazily from an empty dict.
+    """
+    workspace = {"input": np.empty((rows, model.input_width))}
+    for width, (pre, sig, _) in zip(model.hidden, _hidden_keys(model, cached=False)):
+        workspace[pre] = np.empty((rows, width))
+        workspace[sig] = np.empty((rows, width))
+    return workspace
+
+
 def forward(
     model: MlpModel, x, t=None, context=None, beta_norm=None, workspace=None
 ) -> np.ndarray:
-    """Network output for rows x; see forward_cached for t, beta_norm and workspace."""
-    return forward_cached(model, x, t, context, beta_norm, workspace)[0]
+    """Network output for rows x; see forward_cached for t, beta_norm and workspace.
+
+    Keeps no cache, so a workspace holds only the input and one
+    pre-activation/sigmoid pair per distinct hidden width.
+    """
+    return _layers(model, x, t, context, beta_norm, workspace, cached=False)[0]
 
 
 def forward_cached(model: MlpModel, x, t=None, context=None, beta_norm=None, workspace=None):
@@ -234,54 +272,65 @@ def forward_cached(model: MlpModel, x, t=None, context=None, beta_norm=None, wor
     refers to those buffers, so it holds only until the workspace's next
     call.  The output is always a fresh array that no later call touches.
     """
+    return _layers(model, x, t, context, beta_norm, workspace, cached=True)
+
+
+def _layers(model: MlpModel, x, t, context, beta_norm, workspace, cached: bool):
+    """The one layer loop: (output, (activations, pre, sigmoids)), the lists
+    empty unless cached."""
     h = _assemble_input(model, x, t, context, beta_norm, workspace)
     n = h.shape[0]
     activations, pre, sigmoids = [h], [], []
-    for i, (w, b) in enumerate(zip(model.weights[:-1], model.biases[:-1])):
-        z = np.matmul(h, w, out=_buffer(workspace, f"pre{i}", (n, w.shape[1])))
+    layers = zip(model.weights[:-1], model.biases[:-1], _hidden_keys(model, cached))
+    for w, b, (pre_key, sig_key, act_key) in layers:
+        z = np.matmul(h, w, out=_buffer(workspace, pre_key, (n, w.shape[1])))
         z += b
-        s = _buffer(workspace, f"sigmoid{i}", z.shape)
+        s = _buffer(workspace, sig_key, z.shape)
         np.negative(z, out=s)
         np.exp(s, out=s)
         s += 1.0
         np.divide(1.0, s, out=s)
-        h = np.multiply(z, s, out=_buffer(workspace, f"act{i}", z.shape))
-        pre.append(z)
-        sigmoids.append(s)
-        activations.append(h)
+        h = np.multiply(z, s, out=_buffer(workspace, act_key, z.shape) if cached else s)
+        if cached:
+            pre.append(z)
+            sigmoids.append(s)
+            activations.append(h)
     # Never a workspace buffer: a Heun step still holds k1 while it computes k2.
     h = h @ model.weights[-1]
     h += model.biases[-1]
-    pre.append(h)
-    activations.append(h)
+    if cached:
+        pre.append(h)
+        activations.append(h)
     if not np.all(np.isfinite(h)):
         raise FloatingPointError("non-finite network output")
     return h, (activations, pre, sigmoids)
 
 
-def _silu_grad(g: np.ndarray, z: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """g * SiLU'(z), with SiLU'(z) = s (1 + z (1 - s)) from the forward pass's sigmoid s.
-
-    The product is built in one temporary that becomes the result, so backward
-    holds at most two (rows, width) arrays beside the cache.
-    """
-    d = 1.0 - s
-    d *= z
-    d += 1.0
-    d *= s
-    d *= g
-    return d
+def _silu_grad(g: np.ndarray, z: np.ndarray, s: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """g * SiLU'(z), with SiLU'(z) = s (1 + z (1 - s)) from the forward pass's
+    sigmoid s, built in out, a (rows, width) array the caller no longer needs."""
+    np.subtract(1.0, s, out=out)
+    out *= z
+    out += 1.0
+    out *= s
+    out *= g
+    return out
 
 
 def backward(model: MlpModel, cache, upstream: np.ndarray) -> np.ndarray:
-    """Gradient of sum(output * upstream) w.r.t. params, as one flat vector in its layout."""
+    """Gradient of sum(output * upstream) w.r.t. params, as one flat vector in its layout.
+
+    Consumes the cache: each hidden layer's SiLU' product is built in that
+    layer's activation, which the next layer's weight gradient has already
+    read, so a cache serves one backward call.
+    """
     activations, pre, sigmoids = cache
     g = np.atleast_2d(np.asarray(upstream, dtype=float))
     grad = np.empty(model.n_params)
     grads_w, grads_b = model.layer_views(grad)
     for i in range(len(model.weights) - 1, -1, -1):
         if i != len(model.weights) - 1:
-            g = _silu_grad(g, pre[i], sigmoids[i])
+            g = _silu_grad(g, pre[i], sigmoids[i], out=activations[i + 1])
         np.matmul(activations[i].T, g, out=grads_w[i])
         g.sum(axis=0, out=grads_b[i])
         if i > 0:

@@ -13,12 +13,23 @@ provides a tabular fixed point for the in-support softmax Q-learning backup.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .metrics import sliced_wasserstein
-from .nn import AdamState, MlpModel, adam_step, backward, forward, forward_cached, soft_update
+from .nn import (
+    AdamState,
+    MlpModel,
+    adam_step,
+    backward,
+    forward,
+    forward_cached,
+    forward_workspace,
+    soft_update,
+)
 from .paths import T_EPS, PathSchedule, perturb
 from .rng import Rng
 from .sampling import model_velocity_fn, sample_ode
@@ -206,11 +217,13 @@ def sample_policy_actions(
     rng: Rng,
     n_per_state: int = 1,
     ode_steps: int = 15,
+    workspace: dict | None = None,
 ) -> np.ndarray:
-    """(len(states), n_per_state, action_dim) draws through the flow ODE."""
+    """(len(states), n_per_state, action_dim) draws through the flow ODE; the
+    solve's network evaluations share the workspace (a new one when None)."""
     states = np.atleast_2d(np.asarray(states, dtype=float))
     reps = np.repeat(states, n_per_state, axis=0)
-    vfn = model_velocity_fn(model, {"model_kind": kind}, sched, context=reps)
+    vfn = model_velocity_fn(model, {"model_kind": kind}, sched, context=reps, workspace=workspace)
     out = sample_ode(vfn, sched, len(reps), model.out_dim, rng, steps=ode_steps)
     return out.reshape(len(states), n_per_state, model.out_dim)
 
@@ -224,11 +237,12 @@ def build_support_set(
     m: int,
     rng: Rng,
     ode_steps: int = 15,
+    workspace: dict | None = None,
 ) -> np.ndarray:
     """(B, M+1, action_dim): slot 0 is the dataset action, then M policy draws."""
     if m < 1:
         raise ValueError("support size M must be >= 1")
-    sampled = sample_policy_actions(model, kind, sched, states, rng, m, ode_steps)
+    sampled = sample_policy_actions(model, kind, sched, states, rng, m, ode_steps, workspace)
     return np.concatenate([dataset_actions[:, None, :], sampled], axis=1)
 
 
@@ -339,6 +353,61 @@ class QipoConfig:
             raise ValueError(f"unknown policy kind {self.policy_kind!r} (score|velocity)")
 
 
+def _blas_threads(cores: int) -> int:
+    """Threads one BLAS call uses, read as OpenBLAS reads them at start-up:
+    OPENBLAS_NUM_THREADS, then OMP_NUM_THREADS; unset means every core."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return min(int(value), cores)
+    return cores
+
+
+def _support_lanes(n_batches: int) -> int:
+    """Threads that draw a renewal's support sets: one per batch, at most the
+    usable cores over the BLAS threads per call (one lane when BLAS already
+    spreads over every core, where more lanes gained nothing)."""
+    cores = len(os.sched_getaffinity(0))
+    return max(1, min(n_batches, cores // _blas_threads(cores)))
+
+
+def _draw_supports(policy, cfg, sched, dataset, batches, rngs) -> list:
+    """Each batch's build_support_set, or the exception its draw raised.
+
+    Lane j draws batches j, j + lanes, ... on its own stream rngs[bi] through
+    its own forward workspace; lane 0 is the calling thread.  The workspaces
+    are allocated here, before any worker starts, so their buffers come from
+    the calling thread's heap.  A lane stops at its first failed draw; every
+    later batch of that lane is then left as None.
+    """
+    lanes = _support_lanes(len(batches))
+    rows = len(batches[0]) * cfg.m_support
+    workspaces = [forward_workspace(policy, rows) for _ in range(lanes)]
+    drawn: list = [None] * len(batches)
+
+    def lane(j):
+        for bi in range(j, len(batches), lanes):
+            idx = batches[bi]
+            try:
+                drawn[bi] = build_support_set(
+                    policy, cfg.policy_kind, sched, dataset.states[idx], dataset.actions[idx],
+                    cfg.m_support, rngs[bi], ode_steps=cfg.ode_steps, workspace=workspaces[j],
+                )
+            except Exception as err:  # re-raised by the caller, in batch order
+                drawn[bi] = err
+                return
+
+    workers = [threading.Thread(target=lane, args=(j,)) for j in range(1, lanes)]
+    for worker in workers:
+        worker.start()
+    try:
+        lane(0)
+    finally:
+        for worker in workers:
+            worker.join()
+    return drawn
+
+
 @dataclass
 class QipoResult:
     policy: MlpModel
@@ -362,6 +431,12 @@ def qipo_iterate(
     support actions and their guidance weights are reused between renewals.
     q_fn(states, actions) supplies values for the guidance softmax; spec
     gives each evaluation row its analytic target.
+
+    A renewal draws its batches' supports on parallel lanes (_support_lanes:
+    one per batch, at most the usable cores over the BLAS threads per call),
+    each batch on its own stream.  The divergence check, q_fn and the
+    guidance softmax then run on the calling thread in batch order, so the
+    result does not depend on the lane count.
     """
     n = len(dataset)
     order = rng.derive(0).permutation(n)
@@ -385,13 +460,14 @@ def qipo_iterate(
             # draws from its own stream, epoch_rng.derive(k, bi).
             workspace.clear()
             renewals += 1
+            drawn = _draw_supports(
+                policy_target, cfg, sched, dataset, batches,
+                [epoch_rng.derive(k, bi) for bi in range(len(batches))],
+            )
             support = []
-            for bi, idx in enumerate(batches):
-                states = dataset.states[idx]
-                acts = build_support_set(
-                    policy_target, cfg.policy_kind, sched, states, dataset.actions[idx],
-                    cfg.m_support, epoch_rng.derive(k, bi), ode_steps=cfg.ode_steps,
-                )
+            for idx, acts in zip(batches, drawn):
+                if isinstance(acts, Exception):
+                    raise acts
                 scale = float(np.abs(acts[:, 1:, :]).mean())
                 if scale > DIVERGENCE_FACTOR * max(action_scale, 1.0):
                     raise RuntimeError(
@@ -399,7 +475,7 @@ def qipo_iterate(
                         f"exceeds {DIVERGENCE_FACTOR}x the dataset scale {action_scale:.3g}"
                     )
                 qv = q_fn(
-                    np.repeat(states, cfg.m_support + 1, axis=0),
+                    np.repeat(dataset.states[idx], cfg.m_support + 1, axis=0),
                     acts.reshape(-1, acts.shape[-1]),
                 ).reshape(len(idx), cfg.m_support + 1)
                 support.append((acts, support_weights(qv, cfg.beta)))

@@ -133,15 +133,17 @@ CTX_NULL = np.array([1.0, 0.0])
 CTX_COND = np.array([0.0, 1.0])
 
 
-def _network_fn(model: MlpModel, kind: str, meta: dict, guidance_beta, context):
+def _network_fn(model: MlpModel, kind: str, meta: dict, guidance_beta, context, workspace=None):
     """(x, t) -> the checkpoint's output (a velocity or a noise), through one forward workspace.
+
+    The workspace is the caller's (see nn.forward_workspace), or a new empty one.
 
     A classifier pair mixes its null- and class-token heads affinely (beta = 1
     without a guidance beta); a beta-conditioned model is fed guidance beta /
     beta_max; a plain model refuses a guidance beta.  Both of the latter take
     the caller's context: one (d,) vector for every row of x, or (n, d).
     """
-    ws = {}
+    ws = {} if workspace is None else workspace
     if kind == "cfg_pair":
         beta = 1.0 if guidance_beta is None else float(guidance_beta)
 
@@ -174,6 +176,7 @@ def model_score_fn(
     sched: PathSchedule,
     guidance_beta: float | None = None,
     context: np.ndarray | None = None,
+    workspace: dict | None = None,
 ):
     """Score callable (x, t) -> -n(x, t) / sigma_t from a noise-predicting checkpoint.
 
@@ -183,7 +186,7 @@ def model_score_fn(
     kind = meta.get("model_kind", "score")
     if kind == "velocity":
         raise ValueError("velocity models have no score head; sample through the ODE instead")
-    net = _network_fn(model, kind, meta, guidance_beta, context)
+    net = _network_fn(model, kind, meta, guidance_beta, context, workspace)
     return lambda x, t: -net(x, t) / float(sched.sigma(t))
 
 
@@ -193,14 +196,15 @@ def model_velocity_fn(
     sched: PathSchedule,
     guidance_beta: float | None = None,
     context: np.ndarray | None = None,
+    workspace: dict | None = None,
 ):
     """Velocity callable (x, t) -> v: a velocity checkpoint's own output, or a
-    noise predictor's score converted pointwise.  The guidance beta and the
-    context are as in _network_fn."""
+    noise predictor's score converted pointwise.  The guidance beta, the
+    context and the workspace are as in _network_fn."""
     kind = meta.get("model_kind", "velocity")
     if kind == "velocity":
-        return _network_fn(model, kind, meta, guidance_beta, context)
-    score_fn = model_score_fn(model, meta, sched, guidance_beta, context)
+        return _network_fn(model, kind, meta, guidance_beta, context, workspace)
+    score_fn = model_score_fn(model, meta, sched, guidance_beta, context, workspace)
     return lambda x, t: velocity_from_score(sched, x, score_fn(x, t), t)
 
 

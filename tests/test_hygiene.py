@@ -19,6 +19,11 @@ schema dict literals themselves.
 
 A fifth check fails on a module under src/ that imports another module's
 underscore (private) name.
+
+A sixth check resolves attribute reads to classes (`self`, annotated
+parameters, constructor calls, annotated returns and fields) and fails on a
+method or property whose name another src/ class also defines but that no
+read of its own class reaches; the second check cannot see these.
 """
 
 import ast
@@ -174,3 +179,198 @@ def test_no_module_imports_another_modules_private_names():
         if alias.name.startswith("_")
     ]
     assert not private, "private names imported from sibling modules: " + ", ".join(private)
+
+
+# ------------------------------------------------- per-class member reads
+
+
+def _class_named(node, known):
+    """The known class a name or dotted name (X, mod.X) refers to, else None."""
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    return name if name in known else None
+
+
+def _annotated_class(node, known):
+    """The known class an annotation names (X, "X", mod.X, X | None), else None."""
+    if node is None:
+        return None
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        node = ast.parse(node.value, mode="eval").body
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        sides = {_annotated_class(node.left, known), _annotated_class(node.right, known)}
+        sides.discard(None)
+        return sides.pop() if len(sides) == 1 else None
+    return _class_named(node, known)
+
+
+def _is_static(fn) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+
+
+def _single_assignment(node):
+    """(target, value) of `target = value`, else None."""
+    if isinstance(node, ast.Assign) and len(node.targets) == 1:
+        return node.targets[0], node.value
+    return None
+
+
+class _Types:
+    """The class of an expression, as far as an AST walk can tell it.
+
+    Known: `self` in a method, an annotated parameter or variable, and a
+    variable assigned a constructor call or a call whose return annotation
+    names a class; attributes of those through annotated class fields,
+    `self.<name> = ...` assignments, and property or method return
+    annotations.  Anything else is unknown (None).
+    """
+
+    def __init__(self, trees, known):
+        self.known = known
+        self.returns: dict = {}  # function name or (class, member) -> class
+        self.fields: dict = {}  # (class, attribute) -> class
+        for tree in trees:
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef):
+                    cls = _annotated_class(node.returns, known)
+                    # one name defined in two modules with other returns tells nothing
+                    same = self.returns.get(node.name, cls) == cls
+                    self.returns[node.name] = cls if same else None
+                elif isinstance(node, ast.ClassDef):
+                    for item in node.body:
+                        if isinstance(item, ast.FunctionDef):
+                            cls = _annotated_class(item.returns, known)
+                            self.returns[(node.name, item.name)] = cls
+                        elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                            self.fields[(node.name, item.target.id)] = _annotated_class(
+                                item.annotation, known
+                            )
+        for tree in trees:  # self.<name> = <expr>, once every return annotation is known
+            for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+                for fn in (n for n in cls.body if isinstance(n, ast.FunctionDef)):
+                    env = self.scope(fn, {}, cls.name)
+                    for target, value in filter(None, map(_single_assignment, ast.walk(fn))):
+                        if (
+                            isinstance(target, ast.Attribute)
+                            and isinstance(target.value, ast.Name)
+                            and target.value.id == "self"
+                            and self.of(value, env)
+                        ):
+                            self.fields.setdefault((cls.name, target.attr), self.of(value, env))
+
+    def of(self, expr, env):
+        if isinstance(expr, ast.Name):
+            return env.get(expr.id)
+        if isinstance(expr, ast.Attribute):
+            owner = self.of(expr.value, env)
+            return self.fields.get((owner, expr.attr)) or self.returns.get((owner, expr.attr))
+        if not isinstance(expr, ast.Call):
+            return None
+        func = expr.func
+        if _class_named(func, self.known):  # a constructor
+            return _class_named(func, self.known)
+        if isinstance(func, ast.Attribute):
+            owner = self.of(func.value, env) or _class_named(func.value, self.known)
+            if owner:
+                return self.returns.get((owner, func.attr))
+            return self.returns.get(func.attr)  # mod.function(...)
+        return self.returns.get(getattr(func, "id", None))
+
+    def scope(self, fn, outer: dict, cls=None) -> dict:
+        """Classes of the variables inside fn, over the enclosing scope's; cls
+        is the class whose method fn is."""
+        env = dict(outer)
+        if isinstance(fn, ast.Lambda):
+            return env
+        args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+        for i, arg in enumerate(args):
+            if cls and i == 0 and not _is_static(fn):
+                env[arg.arg] = cls
+            elif arg.annotation is not None:
+                env[arg.arg] = _annotated_class(arg.annotation, self.known)
+        for _ in range(2):  # the second pass sees variables assigned from variables
+            for node in ast.walk(fn):
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    env[node.target.id] = _annotated_class(node.annotation, self.known)
+                pair = _single_assignment(node)
+                if pair and isinstance(pair[0], ast.Name) and self.of(pair[1], env):
+                    env[pair[0].id] = self.of(pair[1], env)
+        return env
+
+
+def _member_reads(trees, types: _Types) -> set:
+    """(class, member) of every attribute read whose receiver's class is known."""
+    reads = set()
+
+    def visit(node, env, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, env, child.name)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                method_of = cls if isinstance(node, ast.ClassDef) else None
+                visit(child, types.scope(child, env, method_of), cls)
+                continue
+            if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                owner = types.of(child.value, env) or _class_named(child.value, types.known)
+                if owner:
+                    reads.add((owner, child.attr))
+            visit(child, env, cls)
+
+    for tree in trees:
+        env = {}  # module-level variables, such as SCHED = PathSchedule.vp()
+        for target, value in filter(None, map(_single_assignment, tree.body)):
+            if isinstance(target, ast.Name) and types.of(value, env):
+                env[target.id] = types.of(value, env)
+        visit(tree, env, None)
+    return reads
+
+
+def _dead_shared_members(source_texts, other_texts) -> list[str]:
+    """Methods and properties of src/ classes whose name another src/ class
+    also defines, and that no read resolved to their own class reaches.
+
+    The name-anywhere check cannot see these: the other class's readers keep
+    the name alive.  A read whose receiver's class the walk cannot tell
+    counts for no class, so a live member needs one typed reader.
+    """
+    sources = [ast.parse(text) for text in source_texts]
+    members = {
+        (cls.name, item.name): item.lineno
+        for tree in sources
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
+    }
+    owners: dict = {}
+    for cls, name in members:
+        owners.setdefault(name, set()).add(cls)
+    trees = sources + [ast.parse(text) for text in other_texts]
+    known = {n.name for tree in trees for n in tree.body if isinstance(n, ast.ClassDef)}
+    reads = _member_reads(trees, _Types(trees, known))
+    return sorted(
+        f"{cls}.{name} (line {line})"
+        for (cls, name), line in members.items()
+        if len(owners[name]) > 1 and (cls, name) not in reads
+    )
+
+
+def _texts():
+    others = [p for p in MODULES if p not in SOURCES] + sorted((ROOT / "bench").rglob("*.py"))
+    return [p.read_text() for p in SOURCES], [p.read_text() for p in others]
+
+
+def test_every_shared_member_name_is_read_on_its_own_class():
+    dead = _dead_shared_members(*_texts())
+    assert not dead, "members read only through another class's name: " + ", ".join(dead)
+
+
+def test_shared_member_check_catches_a_dead_property():
+    # BanditSpec.state_dim had no reader, while OfflineDataset.state_dim has several
+    sources, others = _texts()
+    rl = next(i for i, p in enumerate(SOURCES) if p.name == "rl.py")
+    live = "    @property\n    def action_dim(self) -> int:\n        return len(self.w)\n"
+    assert sources[rl].count(live) == 1
+    dead = "\n    @property\n    def state_dim(self) -> int:\n        return 1\n"
+    sources[rl] = sources[rl].replace(live, live + dead)
+    assert [d.split()[0] for d in _dead_shared_members(sources, others)] == ["BanditSpec.state_dim"]

@@ -13,6 +13,7 @@ from ewflow.nn import (
     file_sha256,
     forward,
     forward_cached,
+    forward_workspace,
     load_checkpoint,
     save_checkpoint,
     soft_update,
@@ -414,6 +415,54 @@ def test_forward_cached_gradients_match_recomputed_sigmoid(with_workspace):
             model, x, t, context=ctx, beta_norm=bn, workspace={} if with_workspace else None
         )
         ref_out, activations, pre = _reference_forward_cached(model, x, t, ctx, bn)
+        gw, gb = model.layer_views(backward(model, cache, up))
+        ref_gw, ref_gb = _reference_backward(model, activations, pre, up)
+        assert np.array_equal(out, ref_out)
+        assert all(np.array_equal(a, b) for a, b in zip(gw + gb, ref_gw + ref_gb))
+
+
+def _widths_model(seed=39):
+    # hidden widths repeat (16) and change (8), so layers share and do not
+    # share the forward buffers of their width
+    rng = Rng(seed)
+    model = MlpModel.init(2, 2, rng, hidden=(16, 8, 16), embed_dim=8, context_dim=3)
+    for b in model.biases:
+        b[:] = rng.normal(b.shape)
+    return model
+
+
+def test_forward_workspace_holds_one_pair_per_width_and_is_reused():
+    model, n = _widths_model(), 11
+    rng = Rng(40)
+    x, ctx, t = rng.normal((n, 2)), rng.normal((n, 3)), rng.uniform(T_EPS, 1.0 - T_EPS, n)
+    workspace = {}
+    out = forward(model, x, t, context=ctx, workspace=workspace)
+    shapes = sorted(buf.shape for buf in workspace.values())
+    assert len(workspace) == 1 + 2 * len(set(model.hidden))
+    assert shapes == sorted([(n, model.input_width)] + [(n, w) for w in (16, 16, 8, 8)])
+    preallocated = forward_workspace(model, n)
+    assert {k: v.shape for k, v in preallocated.items()} == {k: v.shape for k, v in workspace.items()}
+    ids = {k: id(v) for k, v in workspace.items()}
+    again = forward(model, x, t, context=ctx, workspace=workspace)
+    assert {k: id(v) for k, v in workspace.items()} == ids
+    ids = {k: id(v) for k, v in preallocated.items()}
+    into_preallocated = forward(model, x, t, context=ctx, workspace=preallocated)
+    assert {k: id(v) for k, v in preallocated.items()} == ids
+    want = forward_cached(model, x, t, context=ctx)[0]
+    assert np.array_equal(want, _reference_forward_cached(model, x, t, ctx, None)[0])
+    for got in (out, again, into_preallocated):
+        assert np.array_equal(got, want)
+
+
+def test_backward_after_a_workspace_forward_cached_matches_reference():
+    model, n = _widths_model(), 13
+    rng = Rng(41)
+    workspace = {}
+    for _ in range(2):  # the second pass reuses buffers the first backward wrote into
+        x, ctx, up = rng.normal((n, 2)), rng.normal((n, 3)), rng.normal((n, 2))
+        t = rng.uniform(T_EPS, 1.0 - T_EPS, n)
+        out, cache = forward_cached(model, x, t, context=ctx, workspace=workspace)
+        ref_out, activations, pre = _reference_forward_cached(model, x, t, ctx, None)
         gw, gb = model.layer_views(backward(model, cache, up))
         ref_gw, ref_gb = _reference_backward(model, activations, pre, up)
         assert np.array_equal(out, ref_out)

@@ -1,9 +1,13 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from ewflow import rl, training
 from ewflow.metrics import sliced_wasserstein
-from ewflow.nn import AdamState, MlpModel
+from ewflow.nn import AdamState, MlpModel, forward_workspace
 from ewflow.paths import PathSchedule
 from ewflow.rl import (
     BanditSpec,
@@ -261,7 +265,7 @@ def test_qipo_fit_workspace_is_bit_identical_and_empty_while_sampling(monkeypatc
         assert np.array_equal(a["policy_mean"], b["policy_mean"])
 
 
-def test_qipo_divergence_detector(monkeypatch):
+def _assert_renewal_diverges(monkeypatch):
     monkeypatch.setattr(rl, "DIVERGENCE_FACTOR", 1e-6)
     spec = BanditSpec(w=[1.0])
     ds = make_bandit_dataset(spec, 512, Rng(32))
@@ -269,6 +273,131 @@ def test_qipo_divergence_detector(monkeypatch):
     cfg = QipoConfig(beta=1.0, m_support=4, k3=2, batch=64)
     with pytest.raises(RuntimeError, match="diverged"):
         qipo_iterate(policy, spec.q_values, ds, SCHED, cfg, Rng(34), spec=spec)
+
+
+def test_qipo_divergence_detector(monkeypatch):
+    _assert_renewal_diverges(monkeypatch)
+
+
+def _force_lanes(monkeypatch, lanes):
+    monkeypatch.setattr(rl, "_support_lanes", lambda n_batches: min(lanes, n_batches))
+
+
+def _lane_run(monkeypatch, lanes):
+    """A small QIPO run on the given lane count: (result, recorded support
+    weights, whether each support draw ran on the calling thread)."""
+    spec = BanditSpec(w=[1.0])
+    ds = make_bandit_dataset(spec, 256, Rng(45))
+    policy = behavior_pretrain(ds, SCHED, Rng(46), steps=100, batch=64)
+    cfg = QipoConfig(
+        beta=1.0, m_support=4, k_renew=2, k3=4, batch=64, lr=1e-3, ode_steps=5,
+        eval_every=2, eval_n=64,
+    )
+    weights_fn, build = rl.support_weights, rl.build_support_set
+    weights, on_caller = [], set()
+
+    def recorded(q_values, beta):
+        weights.append(weights_fn(q_values, beta))
+        return weights[-1]
+
+    def build_recorded(*args, **kwargs):
+        on_caller.add(threading.current_thread() is threading.main_thread())
+        return build(*args, **kwargs)
+
+    _force_lanes(monkeypatch, lanes)
+    monkeypatch.setattr(rl, "support_weights", recorded)
+    monkeypatch.setattr(rl, "build_support_set", build_recorded)
+    result = qipo_iterate(policy, spec.q_values, ds, SCHED, cfg, Rng(47), spec=spec)
+    monkeypatch.undo()
+    return result, weights, on_caller
+
+
+def test_qipo_support_lanes_are_bit_identical(monkeypatch):
+    before = threading.active_count()
+    one, weights_one, on_caller_one = _lane_run(monkeypatch, 1)
+    runs = [_lane_run(monkeypatch, 2)]
+    # four lanes on two cores, switching threads as often as the interpreter allows
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs.append(_lane_run(monkeypatch, 4))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+    assert on_caller_one == {True}
+    for other, weights, on_caller in runs:
+        assert on_caller == {True, False}
+        assert np.array_equal(one.policy.params, other.policy.params)
+        # two renewals of four batches, each weighed on the calling thread in batch order
+        assert len(weights_one) == len(weights) == 8
+        assert all(np.array_equal(a, b) for a, b in zip(weights_one, weights))
+        for a, b in zip(one.eval_rows, other.eval_rows, strict=True):
+            assert a["epoch"] == b["epoch"] and a["cycles"] == b["cycles"]
+            assert a["sw_distance"] == b["sw_distance"]
+            assert np.array_equal(a["policy_mean"], b["policy_mean"])
+
+
+def test_qipo_divergence_detector_under_two_lanes(monkeypatch):
+    _force_lanes(monkeypatch, 2)
+    _assert_renewal_diverges(monkeypatch)
+
+
+def test_a_worker_lanes_sampler_error_reaches_the_caller(monkeypatch):
+    spec = BanditSpec(w=[1.0])
+    ds = make_bandit_dataset(spec, 256, Rng(48))
+    policy = behavior_pretrain(ds, SCHED, Rng(49), steps=50, batch=64)
+    cfg = QipoConfig(beta=1.0, m_support=2, k3=1, batch=64, ode_steps=3, eval_n=16)
+    real = rl.sample_ode
+
+    def poisoned(velocity_fn, *args, **kwargs):
+        # only the worker lanes meet an infinite velocity
+        if threading.current_thread() is not threading.main_thread():
+            velocity_fn = lambda x, t: np.full_like(x, np.inf)  # noqa: E731
+        return real(velocity_fn, *args, **kwargs)
+
+    _force_lanes(monkeypatch, 2)
+    monkeypatch.setattr(rl, "sample_ode", poisoned)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match=r"non-finite state at ODE step 1/3"):
+        qipo_iterate(policy, spec.q_values, ds, SCHED, cfg, Rng(50), spec=spec)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize(
+    "cores, env, n_batches, lanes",
+    [
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 8, 2),
+        (2, {"OMP_NUM_THREADS": "1"}, 8, 2),
+        (2, {}, 8, 1),  # unset: BLAS already runs on every core
+        (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 8, 1),
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, 8, 1),
+        (8, {"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+        (8, {"OPENBLAS_NUM_THREADS": "2"}, 8, 4),
+    ],
+)
+def test_support_lane_rule(monkeypatch, cores, env, n_batches, lanes):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert rl._support_lanes(n_batches) == lanes
+
+
+def test_policy_draws_use_the_callers_workspace():
+    spec = BanditSpec(w=[1.0])
+    ds = make_bandit_dataset(spec, 64, Rng(51))
+    policy = behavior_pretrain(ds, SCHED, Rng(52), steps=20, batch=64)
+    states, m = ds.states[:8], 3
+    workspace = forward_workspace(policy, len(states) * m)
+    ids = {k: id(v) for k, v in workspace.items()}
+    drawn = build_support_set(
+        policy, "score", SCHED, states, ds.actions[:8], m, Rng(53), ode_steps=4,
+        workspace=workspace,
+    )
+    assert {k: id(v) for k, v in workspace.items()} == ids
+    fresh = build_support_set(policy, "score", SCHED, states, ds.actions[:8], m, Rng(53), ode_steps=4)
+    assert np.array_equal(drawn, fresh)
 
 
 def test_qipo_config_validation():

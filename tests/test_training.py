@@ -396,10 +396,9 @@ def test_training_loop_does_not_refault_its_buffers():
     # activation buffers every step were unmapped and faulted in again by the
     # allocator: 0.56 minor faults per row.  Steps 51..250 are counted, after
     # the first steps have grown the heap.  The child runs BLAS on one thread,
-    # as the benchmark does: with two BLAS threads the loop still re-faults
-    # 0.19 per row, in the temporaries of the time embedding (about 24 per
-    # step) and of backward's _silu_grad (about 63 per step), which no
-    # workspace holds.
+    # as the benchmark does; with two BLAS threads the loop reads 0.0 too,
+    # since backward builds its SiLU' products in the cache's activations
+    # (0.19 per row while they were fresh (512, 64) arrays).
     code = """
 import resource
 from ewflow import training
