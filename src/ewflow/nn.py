@@ -15,8 +15,17 @@ input buffer and a pre-activation, sigmoid and activation buffer per hidden
 layer, since backward reads them all.  forward keeps no cache, so it holds
 only the input and one pre-activation/sigmoid pair per distinct hidden
 width, and writes each activation over its sigmoid; forward_workspace
-allocates that layout up front.  backward builds each SiLU' product in the
-activation buffer that the layer's weight gradient has already read.
+allocates that layout up front.  backward builds each SiLU' product over
+its layer's pre-activation, which nothing reads after.
+
+The layer loop and backward's chain of SiLU' products run on row blocks.  A
+Workspace carries running lanes.Lanes, and forward_cached and backward then
+give each lane a block of rows; a plain dict, or none, is one block on the
+calling thread, the same code.  Every buffer a lane writes is allocated on
+the calling thread first: the workspace's rows, and a per-call scratch for
+the per-row embedding's temporaries and each layer's upstream product.
+Each weight gradient and bias sum is one call over all rows, so the result
+is the one-lane result bit for bit.
 """
 
 from __future__ import annotations
@@ -25,15 +34,17 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import zip_longest
 
 import numpy as np
 
+from .lanes import Lanes, blocks
 from .rng import Rng
 
 __all__ = [
     "MlpModel",
+    "Workspace",
     "time_embedding",
     "forward",
     "forward_cached",
@@ -48,14 +59,17 @@ __all__ = [
 ]
 
 
-def time_embedding(t: np.ndarray, dim: int, out: np.ndarray | None = None) -> np.ndarray:
+def time_embedding(
+    t: np.ndarray, dim: int, out: np.ndarray | None = None, scratch: tuple | None = None
+) -> np.ndarray:
     """Sinusoidal features [sin(a), cos(a)] of per-row t, a = t * freqs, freqs 1..1e4.
 
     Both come from one tangent of the half angle, u = tan(a/2): sin a =
     2u/(1 + u^2) and cos a = (1 - u^2)/(1 + u^2); numpy's float64 tan is
     vectorized where its sin and cos are not.  tan and the arithmetic run on
-    contiguous (rows, dim/2) temporaries; only the two divides write into out,
-    an (rows, dim) array or column block, fresh when None.
+    three contiguous (rows, dim/2) temporaries, the scratch tuple (fresh when
+    None); only the two divides write into out, an (rows, dim) array or
+    column block, fresh when None.
     """
     if dim % 2 != 0:
         raise ValueError("embedding dimension must be even")
@@ -63,11 +77,12 @@ def time_embedding(t: np.ndarray, dim: int, out: np.ndarray | None = None) -> np
     t = np.asarray(t, dtype=float)
     if out is None:
         out = np.empty((len(t), dim))
+    u, sq, den = scratch or (np.empty((len(t), half)) for _ in range(3))
     half_freqs = 0.5 * 10.0 ** (4.0 * np.arange(half) / max(half - 1, 1))
-    u = np.multiply(t[:, None], half_freqs)
+    np.multiply(t[:, None], half_freqs, out=u)
     np.tan(u, out=u)
-    sq = np.square(u)
-    den = sq + 1.0
+    np.square(u, out=sq)
+    np.add(sq, 1.0, out=den)
     u *= 2.0
     np.divide(u, den, out=out[:, :half])
     np.subtract(1.0, sq, out=sq)
@@ -164,6 +179,24 @@ class MlpModel:
                 for f in fields(self) if f.name != "params"}
 
 
+class Workspace(dict):
+    """A workspace whose forward_cached and backward calls split their rows
+    over running Lanes; a plain dict is a workspace of one lane."""
+
+    def __init__(self, lanes: Lanes):
+        super().__init__()
+        self.lanes = lanes
+
+
+# Row lanes cut a call's rows into blocks that start at multiples of
+# _LANE_ALIGN and hold at least _LANE_ROWS rows: OpenBLAS gives a block's rows
+# of a product the bits of the whole call's only then.  Its gemv (one output
+# column) takes rows in groups of 4, and the small-matrix kernel it uses for
+# a (rows, 64) @ (64, 64)^T product of up to 18 rows rounds differently.
+_LANE_ALIGN = 8
+_LANE_ROWS = 64
+
+
 def _buffer(workspace: dict | None, key: str, shape: tuple) -> np.ndarray:
     """The workspace's array for key at this shape, or a fresh one without a workspace."""
     if workspace is None:
@@ -174,30 +207,50 @@ def _buffer(workspace: dict | None, key: str, shape: tuple) -> np.ndarray:
     return buf
 
 
-def _embed_into(out: np.ndarray, v: np.ndarray) -> None:
-    """Embed a scalar once and broadcast it to every row of out, or embed per-row values."""
+def _scratch_rows(scratch: np.ndarray, lo: int, shape: tuple) -> np.ndarray:
+    """The flat scratch of rows of scratch.shape[1] values, from row lo on,
+    viewed as one contiguous array of this shape (at most the block's rows
+    times that width)."""
+    start = lo * scratch.shape[1]
+    return scratch.reshape(-1)[start : start + math.prod(shape)].reshape(shape)
+
+
+def _row_blocks(n: int, lanes: int) -> list[tuple[int, int]]:
+    """The (lo, hi) row blocks of a call on this many lanes, as many as the rows allow."""
+    return blocks(n, min(lanes, max(1, n // _LANE_ROWS)), _LANE_ALIGN)
+
+
+def _lanes(workspace) -> Lanes | None:
+    """The workspace's running lanes, None for one lane."""
+    lanes = getattr(workspace, "lanes", None)
+    return lanes if lanes is not None and lanes.count > 1 else None
+
+
+def _embedded(v: np.ndarray, n: int, dim: int) -> np.ndarray:
+    """A scalar's embedding, computed once as one row for every row, or the
+    (n,) per-row values, embedded row block by row block."""
     if v.ndim == 0:
-        out[:] = time_embedding(v.reshape(1), out.shape[1])
-    else:
-        time_embedding(np.broadcast_to(v, (len(out),)), out.shape[1], out=out)
+        return time_embedding(v.reshape(1), dim)
+    return v if v.shape == (n,) else np.broadcast_to(v, (n,))
 
 
-def _assemble_input(model: MlpModel, x, t, context, beta_norm, workspace) -> np.ndarray:
-    """Write [x, emb(t), context?, emb(beta)?] into the input buffer, column block by block."""
+def _input_parts(model: MlpModel, x, t, context, beta_norm) -> list[tuple[int, np.ndarray]]:
+    """Checked inputs as (first column, source) of each column block of the
+    input [x, emb(t), context?, emb(beta)?]: an (n, width) source is copied
+    row by row, a (1, width) one into every row, and an (n,) one holds
+    per-row values to embed."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != model.in_dim:
         raise ValueError(f"input dim {x.shape[1]} != model in_dim {model.in_dim}")
     n, e = x.shape[0], model.embed_dim
-    h = _buffer(workspace, "input", (n, model.input_width))
-    h[:, : model.in_dim] = x
-    col = model.in_dim
+    parts, col = [(0, x)], model.in_dim
     if e > 0:
         if t is None:
             raise ValueError("model embeds time; t is required")
         t = np.asarray(t, dtype=float)
-        if not np.all(np.isfinite(t)):
+        if not np.isfinite(t).all():
             raise ValueError("t must be finite")
-        _embed_into(h[:, col : col + e], t)
+        parts.append((col, _embedded(t, n, e)))
         col += e
     if model.context_dim > 0:
         if context is None:
@@ -207,7 +260,7 @@ def _assemble_input(model: MlpModel, x, t, context, beta_norm, workspace) -> np.
             context = np.broadcast_to(context, (n, len(context)))
         if context.shape != (n, model.context_dim):
             raise ValueError(f"context shape {context.shape} != {(n, model.context_dim)}")
-        h[:, col : col + model.context_dim] = context
+        parts.append((col, context))
         col += model.context_dim
     elif context is not None:
         raise ValueError("model takes no context")
@@ -217,10 +270,10 @@ def _assemble_input(model: MlpModel, x, t, context, beta_norm, workspace) -> np.
         bn = np.asarray(beta_norm, dtype=float)
         if not np.all((bn >= 0) & (bn <= 1)):  # NaN fails both
             raise ValueError("beta_norm must lie in [0, 1]")
-        _embed_into(h[:, col:], bn)
+        parts.append((col, _embedded(bn, n, e)))
     elif beta_norm is not None:
         raise ValueError("model does not condition on beta")
-    return h
+    return parts
 
 
 def _hidden_keys(model: MlpModel, cached: bool) -> list[tuple]:
@@ -268,74 +321,136 @@ def forward_cached(model: MlpModel, x, t=None, context=None, beta_norm=None, wor
     activation go into buffers of the optional workspace (a dict, reused by
     every call with the same row count), or into fresh arrays without one.
     Sampler calls (one workspace per ODE solve) and training loops (one per
-    loop, each forward_cached followed by its backward) pass one.  The cache
-    refers to those buffers, so it holds only until the workspace's next
-    call.  The output is always a fresh array that no later call touches.
+    loop, each forward_cached followed by its backward) pass one; a
+    Workspace with lanes > 1 splits the rows of this call and of its
+    backward over that many threads.  The cache refers to those buffers, so
+    it holds only until the workspace's next call.  The output is always a
+    fresh array that no later call touches.
     """
     return _layers(model, x, t, context, beta_norm, workspace, cached=True)
 
 
 def _layers(model: MlpModel, x, t, context, beta_norm, workspace, cached: bool):
-    """The one layer loop: (output, (activations, pre, sigmoids)), the lists
-    empty unless cached."""
-    h = _assemble_input(model, x, t, context, beta_norm, workspace)
-    n = h.shape[0]
-    activations, pre, sigmoids = [h], [], []
-    layers = zip(model.weights[:-1], model.biases[:-1], _hidden_keys(model, cached))
-    for w, b, (pre_key, sig_key, act_key) in layers:
-        z = np.matmul(h, w, out=_buffer(workspace, pre_key, (n, w.shape[1])))
-        z += b
-        s = _buffer(workspace, sig_key, z.shape)
-        np.negative(z, out=s)
-        np.exp(s, out=s)
-        s += 1.0
-        np.divide(1.0, s, out=s)
-        h = np.multiply(z, s, out=_buffer(workspace, act_key, z.shape) if cached else s)
-        if cached:
-            pre.append(z)
-            sigmoids.append(s)
-            activations.append(h)
+    """The one layer loop: (output, (activations, pre, sigmoids, workspace)),
+    or (output, None) without a cache.
+
+    Every buffer is allocated here, before the row blocks run on their lanes;
+    each block writes only its own rows.
+    """
+    parts = _input_parts(model, x, t, context, beta_norm)
+    n, e = len(parts[0][1]), model.embed_dim
+    h = _buffer(workspace, "input", (n, model.input_width))
+    pre, sigmoids, acts = [], [], []
+    for w, (pre_key, sig_key, act_key) in zip(model.weights, _hidden_keys(model, cached)):
+        pre.append(_buffer(workspace, pre_key, (n, w.shape[1])))
+        sigmoids.append(_buffer(workspace, sig_key, (n, w.shape[1])))
+        acts.append(_buffer(workspace, act_key, (n, w.shape[1])) if cached else sigmoids[-1])
+    lanes = _lanes(workspace)
+    scratch = None
+    if lanes is not None and any(src.ndim == 1 for _, src in parts):
+        # The lanes' embedding temporaries, allocated here on the calling
+        # thread (one lane lets time_embedding allocate its own).  Three
+        # arrays, not one block: one block puts u, sq and den a multiple of
+        # 4 KiB apart, and the CPU stalls on false store-to-load aliasing.
+        scratch = [np.empty((n, e // 2)) for _ in range(3)]
     # Never a workspace buffer: a Heun step still holds k1 while it computes k2.
-    h = h @ model.weights[-1]
-    h += model.biases[-1]
-    if cached:
-        pre.append(h)
-        activations.append(h)
-    if not np.all(np.isfinite(h)):
-        raise FloatingPointError("non-finite network output")
-    return h, (activations, pre, sigmoids)
+    out = np.empty((n, model.out_dim))
+
+    def rows(lo, hi):
+        for col, src in parts:
+            if src.ndim == 1:
+                time_embedding(
+                    src[lo:hi], e, out=h[lo:hi, col : col + e],
+                    scratch=scratch and [a[lo:hi] for a in scratch],
+                )
+            else:
+                h[lo:hi, col : col + src.shape[1]] = src if len(src) == 1 else src[lo:hi]
+        a = h[lo:hi]
+        for w, b, z, s, act in zip(model.weights, model.biases, pre, sigmoids, acts):
+            z = np.matmul(a, w, out=z[lo:hi])
+            z += b
+            s = s[lo:hi]
+            np.negative(z, out=s)
+            np.exp(s, out=s)
+            s += 1.0
+            np.divide(1.0, s, out=s)
+            a = np.multiply(z, s, out=act[lo:hi])
+        y = np.matmul(a, model.weights[-1], out=out[lo:hi])
+        y += model.biases[-1]
+        if not np.isfinite(y).all():
+            raise FloatingPointError("non-finite network output")
+
+    if lanes is None:
+        rows(0, n)
+    else:
+        lanes.run([partial(rows, lo, hi) for lo, hi in _row_blocks(n, lanes.count)])
+    if not cached:
+        return out, None
+    return out, ([h, *acts, out], [*pre, out], sigmoids, workspace)
 
 
-def _silu_grad(g: np.ndarray, z: np.ndarray, s: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """g * SiLU'(z), with SiLU'(z) = s (1 + z (1 - s)) from the forward pass's
-    sigmoid s, built in out, a (rows, width) array the caller no longer needs."""
-    np.subtract(1.0, s, out=out)
-    out *= z
-    out += 1.0
-    out *= s
-    out *= g
-    return out
+def _silu_grad(
+    w: np.ndarray, g: np.ndarray, z: np.ndarray, s: np.ndarray, d: np.ndarray
+) -> np.ndarray:
+    """(g @ w.T) * SiLU'(z), with SiLU'(z) = s (1 + z (1 - s)) from the forward
+    pass's sigmoid s, built over z, which nothing reads after.
+
+    d, an array of z's shape, first holds 1 - s while z and s are still to
+    be read, then the product g @ w.T.
+    """
+    np.subtract(1.0, s, out=d)
+    z *= d
+    z += 1.0
+    z *= s
+    # np.dot: matmul does not hand a one-column g (out_dim 1) to BLAS
+    z *= np.dot(g, w.T, out=d)
+    return z
 
 
 def backward(model: MlpModel, cache, upstream: np.ndarray) -> np.ndarray:
     """Gradient of sum(output * upstream) w.r.t. params, as one flat vector in its layout.
 
-    Consumes the cache: each hidden layer's SiLU' product is built in that
-    layer's activation, which the next layer's weight gradient has already
-    read, so a cache serves one backward call.
+    Consumes the cache: each hidden layer's SiLU' product is built over that
+    layer's pre-activation, so a cache serves one backward call.  Each
+    weight gradient and bias sum is one call over all rows, so none depends
+    on the lane count.  On one lane each follows its layer's output gradient
+    while that is still in cache.  On the forward call's lanes, each lane
+    first takes its rows down the whole chain of SiLU' products, then the
+    lanes share out whole layers' sums.
     """
-    activations, pre, sigmoids = cache
+    activations, pre, sigmoids, workspace = cache
     g = np.atleast_2d(np.asarray(upstream, dtype=float))
+    n, top = len(g), len(model.weights) - 1
     grad = np.empty(model.n_params)
     grads_w, grads_b = model.layer_views(grad)
-    for i in range(len(model.weights) - 1, -1, -1):
-        if i != len(model.weights) - 1:
-            g = _silu_grad(g, pre[i], sigmoids[i], out=activations[i + 1])
-        np.matmul(activations[i].T, g, out=grads_w[i])
-        g.sum(axis=0, out=grads_b[i])
-        if i > 0:
-            # np.dot: matmul does not hand a one-column g (out_dim 1) to BLAS
-            g = np.dot(g, model.weights[i].T)
+    # each layer's output gradient: the hidden layers' SiLU' products, then the upstream
+    layer_grads = pre[:top] + [g]
+    # each hidden layer's upstream product, rows of a lane's block viewed at that layer's width
+    scratch = np.empty((n, max(model.hidden, default=0)))
+
+    def chain(lo, hi, layers):
+        """From each layer i's output gradient, rows lo:hi of layer i - 1's."""
+        for i in layers:
+            z = pre[i - 1][lo:hi]
+            d = _scratch_rows(scratch, lo, z.shape)
+            _silu_grad(model.weights[i], layer_grads[i][lo:hi], z, sigmoids[i - 1][lo:hi], d)
+
+    def reduce(layers):
+        for i in layers:
+            np.matmul(activations[i].T, layer_grads[i], out=grads_w[i])
+            layer_grads[i].sum(axis=0, out=grads_b[i])
+
+    lanes = _lanes(workspace)
+    if lanes is None:
+        for i in range(top, -1, -1):
+            reduce([i])
+            chain(0, n, [i] if i > 0 else [])
+    else:
+        spans = _row_blocks(n, lanes.count)
+        lanes.run([partial(chain, lo, hi, range(top, 0, -1)) for lo, hi in spans])
+        # layer j on lane j mod k: for 64 x 64, layer 1 on one lane, 0 and 2 on the other
+        k = min(len(spans), top + 1)
+        lanes.run([partial(reduce, range(j, top + 1, k)) for j in range(k)])
     return grad
 
 

@@ -13,16 +13,20 @@ provides a tabular fixed point for the in-support softmax Q-learning backup.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import os
-import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from .lanes import Lanes, blocks
 from .metrics import sliced_wasserstein
 from .nn import (
     AdamState,
     MlpModel,
+    Workspace,
     adam_step,
     backward,
     forward,
@@ -353,58 +357,78 @@ class QipoConfig:
             raise ValueError(f"unknown policy kind {self.policy_kind!r} (score|velocity)")
 
 
+def _openblas_threads() -> int | None:
+    """The thread count that the OpenBLAS numpy loaded reports, or None when
+    no such library is found."""
+    libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libdir, "*openblas*.so*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            threads = getattr(lib, name, None)
+            if threads is not None:
+                threads.restype, threads.argtypes = ctypes.c_int, []
+                return int(threads())
+    return None
+
+
 def _blas_threads(cores: int) -> int:
-    """Threads one BLAS call uses, read as OpenBLAS reads them at start-up:
-    OPENBLAS_NUM_THREADS, then OMP_NUM_THREADS; unset means every core."""
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return min(int(value), cores)
-    return cores
+    """Threads one BLAS call uses: what the loaded OpenBLAS reports, else its
+    environment as OpenBLAS reads it (OPENBLAS_NUM_THREADS, then
+    OPENBLAS_DEFAULT_NUM_THREADS, GOTO_NUM_THREADS, OMP_NUM_THREADS; unset
+    means every core)."""
+    threads = _openblas_threads()
+    if threads is None:
+        threads = cores
+        for var in ("OPENBLAS_NUM_THREADS", "OPENBLAS_DEFAULT_NUM_THREADS",
+                    "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            value = os.environ.get(var, "").strip()
+            if value.isdigit() and int(value) > 0:
+                threads = int(value)
+                break
+    return max(1, min(threads, cores))
 
 
 def _support_lanes(n_batches: int) -> int:
-    """Threads that draw a renewal's support sets: one per batch, at most the
+    """Threads that renew a support and run the fit: one per batch, at most the
     usable cores over the BLAS threads per call (one lane when BLAS already
     spreads over every core, where more lanes gained nothing)."""
     cores = len(os.sched_getaffinity(0))
     return max(1, min(n_batches, cores // _blas_threads(cores)))
 
 
-def _draw_supports(policy, cfg, sched, dataset, batches, rngs) -> list:
-    """Each batch's build_support_set, or the exception its draw raised.
+def _draw_supports(policy, cfg, sched, dataset, batches, rngs, lanes, epoch, action_scale):
+    """Each batch's build_support_set, checked for divergence.
 
-    Lane j draws batches j, j + lanes, ... on its own stream rngs[bi] through
-    its own forward workspace; lane 0 is the calling thread.  The workspaces
-    are allocated here, before any worker starts, so their buffers come from
-    the calling thread's heap.  A lane stops at its first failed draw; every
-    later batch of that lane is then left as None.
+    Lane j draws one contiguous block of batches, each on its own stream
+    rngs[bi], through its own forward workspace; lane 0 is the calling
+    thread.  The workspaces are allocated here, before any worker starts, so
+    their buffers come from the calling thread's heap.  A lane stops at its
+    first failed batch, and Lanes.run re-raises the failure of the earliest
+    lane, so the first batch to fail raises, as in a serial loop.
     """
-    lanes = _support_lanes(len(batches))
+    spans = blocks(len(batches), lanes.count)
     rows = len(batches[0]) * cfg.m_support
-    workspaces = [forward_workspace(policy, rows) for _ in range(lanes)]
+    workspaces = [forward_workspace(policy, rows) for _ in spans]
     drawn: list = [None] * len(batches)
+    limit = DIVERGENCE_FACTOR * max(action_scale, 1.0)
 
-    def lane(j):
-        for bi in range(j, len(batches), lanes):
+    def lane(j, lo, hi):
+        for bi in range(lo, hi):
             idx = batches[bi]
-            try:
-                drawn[bi] = build_support_set(
-                    policy, cfg.policy_kind, sched, dataset.states[idx], dataset.actions[idx],
-                    cfg.m_support, rngs[bi], ode_steps=cfg.ode_steps, workspace=workspaces[j],
+            acts = build_support_set(
+                policy, cfg.policy_kind, sched, dataset.states[idx], dataset.actions[idx],
+                cfg.m_support, rngs[bi], ode_steps=cfg.ode_steps, workspace=workspaces[j],
+            )
+            scale = float(np.abs(acts[:, 1:, :]).mean())
+            if scale > limit:
+                raise RuntimeError(
+                    f"support actions diverged at epoch {epoch}: mean |a| = {scale:.3g} "
+                    f"exceeds {DIVERGENCE_FACTOR}x the dataset scale {action_scale:.3g}"
                 )
-            except Exception as err:  # re-raised by the caller, in batch order
-                drawn[bi] = err
-                return
+            drawn[bi] = acts
 
-    workers = [threading.Thread(target=lane, args=(j,)) for j in range(1, lanes)]
-    for worker in workers:
-        worker.start()
-    try:
-        lane(0)
-    finally:
-        for worker in workers:
-            worker.join()
+    lanes.run([partial(lane, j, lo, hi) for j, (lo, hi) in enumerate(spans)])
     return drawn
 
 
@@ -432,11 +456,15 @@ def qipo_iterate(
     q_fn(states, actions) supplies values for the guidance softmax; spec
     gives each evaluation row its analytic target.
 
-    A renewal draws its batches' supports on parallel lanes (_support_lanes:
-    one per batch, at most the usable cores over the BLAS threads per call),
-    each batch on its own stream.  The divergence check, q_fn and the
-    guidance softmax then run on the calling thread in batch order, so the
-    result does not depend on the lane count.
+    Renewal and fit share one set of lanes (_support_lanes: one per batch, at
+    most the usable cores over the BLAS threads per call), run by
+    one lanes.Lanes.  A renewal deals its batches out in contiguous blocks,
+    each batch on its own stream and checked for divergence in its lane;
+    q_fn and the guidance softmax then run on the calling thread in batch
+    order.  Each fit step's forward_cached and backward split its rows over
+    the lanes through the fit's Workspace, and every gradient sum stays one
+    call over all rows.  So the result does not depend on the lane count,
+    and every lane has ended when this returns or raises.
     """
     n = len(dataset)
     order = rng.derive(0).permutation(n)
@@ -450,53 +478,47 @@ def qipo_iterate(
     eval_rows = []
     renewals = 0
     epoch_rng = rng.derive(1)
-    # The fit's activation buffers; emptied before every sampler call (support
-    # renewal and evaluation), so they never coexist with a sampler's own.
-    workspace: dict = {}
-    for k in range(1, cfg.k3 + 1):
-        if (k - 1) % cfg.k_renew == 0:
-            # Renew every batch's support before this epoch's fits, so every
-            # batch's support comes from the same averaged policy; each batch
-            # draws from its own stream, epoch_rng.derive(k, bi).
-            workspace.clear()
-            renewals += 1
-            drawn = _draw_supports(
-                policy_target, cfg, sched, dataset, batches,
-                [epoch_rng.derive(k, bi) for bi in range(len(batches))],
-            )
-            support = []
-            for idx, acts in zip(batches, drawn):
-                if isinstance(acts, Exception):
-                    raise acts
-                scale = float(np.abs(acts[:, 1:, :]).mean())
-                if scale > DIVERGENCE_FACTOR * max(action_scale, 1.0):
-                    raise RuntimeError(
-                        f"support actions diverged at epoch {k}: mean |a| = {scale:.3g} "
-                        f"exceeds {DIVERGENCE_FACTOR}x the dataset scale {action_scale:.3g}"
-                    )
-                qv = q_fn(
-                    np.repeat(dataset.states[idx], cfg.m_support + 1, axis=0),
-                    acts.reshape(-1, acts.shape[-1]),
-                ).reshape(len(idx), cfg.m_support + 1)
-                support.append((acts, support_weights(qv, cfg.beta)))
-        for idx, (acts, g) in zip(batches, support):
-            states = dataset.states[idx]
-            bsz, m1, da = acts.shape
-            flat_a = acts.reshape(-1, da)
-            flat_s = np.repeat(states, m1, axis=0)
-            t = epoch_rng.uniform(T_EPS, 1.0 - T_EPS, bsz * m1)
-            a_t, eps = perturb(sched, flat_a, t, epoch_rng)
-            fit_batch = WeightedBatch(flat_a, g.ravel() / bsz, t, eps, a_t)
-            _, grad = _POLICY_LOSS[cfg.policy_kind](
-                policy, fit_batch, sched, context=flat_s, workspace=workspace
-            )
-            adam_step(adam, policy, grad)
-            soft_update(policy_target, policy, cfg.lambda_soft)
-        if k % cfg.eval_every == 0 or k == cfg.k3:
-            workspace.clear()
-            eval_rows.append(
-                _eval_row(policy, cfg, sched, dataset, spec, k, renewals, rng.derive(2, k))
-            )
+    with Lanes(_support_lanes(len(batches))) as lanes:
+        # The fit's activation buffers, its rows split over the renewal's
+        # lanes; emptied before every sampler call (support renewal and
+        # evaluation), so they never coexist with a sampler's own.
+        workspace = Workspace(lanes)
+        for k in range(1, cfg.k3 + 1):
+            if (k - 1) % cfg.k_renew == 0:
+                # Renew every batch's support before this epoch's fits, so every
+                # batch's support comes from the same averaged policy; each batch
+                # draws from its own stream, epoch_rng.derive(k, bi).
+                workspace.clear()
+                renewals += 1
+                drawn = _draw_supports(
+                    policy_target, cfg, sched, dataset, batches,
+                    [epoch_rng.derive(k, bi) for bi in range(len(batches))], lanes, k, action_scale,
+                )
+                support = []
+                for idx, acts in zip(batches, drawn):
+                    qv = q_fn(
+                        np.repeat(dataset.states[idx], cfg.m_support + 1, axis=0),
+                        acts.reshape(-1, acts.shape[-1]),
+                    ).reshape(len(idx), cfg.m_support + 1)
+                    support.append((acts, support_weights(qv, cfg.beta)))
+            for idx, (acts, g) in zip(batches, support):
+                states = dataset.states[idx]
+                bsz, m1, da = acts.shape
+                flat_a = acts.reshape(-1, da)
+                flat_s = np.repeat(states, m1, axis=0)
+                t = epoch_rng.uniform(T_EPS, 1.0 - T_EPS, bsz * m1)
+                a_t, eps = perturb(sched, flat_a, t, epoch_rng)
+                fit_batch = WeightedBatch(flat_a, g.ravel() / bsz, t, eps, a_t)
+                _, grad = _POLICY_LOSS[cfg.policy_kind](
+                    policy, fit_batch, sched, context=flat_s, workspace=workspace
+                )
+                adam_step(adam, policy, grad)
+                soft_update(policy_target, policy, cfg.lambda_soft)
+            if k % cfg.eval_every == 0 or k == cfg.k3:
+                workspace.clear()
+                eval_rows.append(
+                    _eval_row(policy, cfg, sched, dataset, spec, k, renewals, rng.derive(2, k))
+                )
     return QipoResult(policy, eval_rows, renewals)
 
 

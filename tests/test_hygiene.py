@@ -24,6 +24,9 @@ A sixth check resolves attribute reads to classes (`self`, annotated
 parameters, constructor calls, annotated returns and fields) and fails on a
 method or property whose name another src/ class also defines but that no
 read of its own class reaches; the second check cannot see these.
+
+A seventh check fails unless exactly one function under src/ constructs a
+threading.Thread: the lane runner.
 """
 
 import ast
@@ -179,6 +182,34 @@ def test_no_module_imports_another_modules_private_names():
         if alias.name.startswith("_")
     ]
     assert not private, "private names imported from sibling modules: " + ", ".join(private)
+
+
+
+def _thread_constructors(tree: ast.Module, module: str) -> list[str]:
+    """module:function of every top-level function or method whose body
+    (nested functions included) calls threading.Thread or a bare Thread."""
+    found = []
+    for node in _definitions(tree):
+        if isinstance(node, ast.ClassDef):
+            continue
+        calls = [
+            n for n in ast.walk(node)
+            if isinstance(n, ast.Call)
+            and "Thread" in (getattr(n.func, "attr", None), getattr(n.func, "id", None))
+        ]
+        found += [f"{module}:{node.name}"] * len(calls)
+    return found
+
+
+def test_one_function_starts_threads():
+    # The QIPO renewal and fit share one lane runner; every other thread in
+    # the package would need its own joining and error handling.
+    sites = [
+        site
+        for path in SOURCES
+        for site in _thread_constructors(ast.parse(path.read_text()), path.stem)
+    ]
+    assert sites == ["lanes:__enter__"], sites
 
 
 # ------------------------------------------------- per-class member reads

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ewflow import nn
+from ewflow.lanes import Lanes
 from ewflow.nn import (
     AdamState,
     MlpModel,
@@ -62,9 +63,9 @@ def test_time_embedding_shape_and_range():
         time_embedding(np.array([0.5]), 7)
 
 
-def _sin_cos_embedding(t, dim, out=None):
+def _sin_cos_embedding(t, dim, out=None, scratch=None):
     """np.sin and np.cos of t * freqs: the embedding that checkpoints written
-    before the half-angle tangent were trained with."""
+    before the half-angle tangent were trained with (it needs no scratch)."""
     half = dim // 2
     ang = np.asarray(t, dtype=float)[:, None] * 10.0 ** (4.0 * np.arange(half) / max(half - 1, 1))
     emb = np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
@@ -541,3 +542,42 @@ def test_flat_training_loop_matches_per_layer_reference(
         assert np.array_equal(out, ref_out)
         assert np.array_equal(model.params, layout_order(ref_params))
         assert np.array_equal(target.params, layout_order(ref_target))
+
+
+def _lane_model(hidden, embed_dim, context_dim, seed=44):
+    rng = Rng(seed)
+    model = MlpModel.init(1, 1, rng, hidden=hidden, embed_dim=embed_dim, context_dim=context_dim)
+    for b in model.biases:
+        b[:] = rng.normal(b.shape)
+    return model
+
+
+@pytest.mark.parametrize("rows", [2176, 2177, 7])
+@pytest.mark.parametrize(
+    "hidden, embed_dim", [((64, 64), 32), ((16, 8, 16), 8)], ids=["64x64-e32", "16-8-16-e8"]
+)
+def test_row_lanes_are_bit_identical_to_one_lane(hidden, embed_dim, rows):
+    # The QIPO fit's shape: one action, the state as context, 128 states x 17
+    # support actions.  Every row-split product must keep the whole call's bits.
+    model = _lane_model(hidden, embed_dim, 1)
+    rng = Rng(45)
+
+    def step(workspace, x, t, ctx, up):
+        """Output, cache, gradient and the cache backward left behind."""
+        out, cache = forward_cached(model, x, t, context=ctx, workspace=workspace)
+        kept = [a.copy() for arrays in cache[:3] for a in arrays]
+        grad = backward(model, cache, up)
+        return [out, *kept, grad, *(a.copy() for arrays in cache[:3] for a in arrays)]
+
+    with Lanes(2) as two, Lanes(3) as three:
+        workspaces = [nn.Workspace(lanes) for lanes in (Lanes(1), two, three)]
+        assert [len(nn._row_blocks(rows, lanes)) for lanes in (1, 2, 3)] == [
+            max(1, min(lanes, rows // 64)) for lanes in (1, 2, 3)
+        ]
+        for _ in range(2):  # the second step reuses the buffers the first backward consumed
+            x, ctx, up = rng.normal((rows, 1)), rng.normal((rows, 1)), rng.normal((rows, 1))
+            t = rng.uniform(T_EPS, 1.0 - T_EPS, rows)
+            want = step(None, x, t, ctx, up)
+            for ws in workspaces:
+                got = step(ws, x, t, ctx, up)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))

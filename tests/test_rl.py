@@ -1,11 +1,13 @@
 import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ewflow import rl, training
+from ewflow import nn, rl, training
 from ewflow.metrics import sliced_wasserstein
 from ewflow.nn import AdamState, MlpModel, forward_workspace
 from ewflow.paths import PathSchedule
@@ -283,18 +285,19 @@ def _force_lanes(monkeypatch, lanes):
     monkeypatch.setattr(rl, "_support_lanes", lambda n_batches: min(lanes, n_batches))
 
 
-def _lane_run(monkeypatch, lanes):
+def _lane_run(monkeypatch, lanes, kind="score"):
     """A small QIPO run on the given lane count: (result, recorded support
-    weights, whether each support draw ran on the calling thread)."""
+    weights, whether each support draw ran on the calling thread, whether
+    each fit's per-row time embedding ran on it)."""
     spec = BanditSpec(w=[1.0])
     ds = make_bandit_dataset(spec, 256, Rng(45))
-    policy = behavior_pretrain(ds, SCHED, Rng(46), steps=100, batch=64)
+    policy = behavior_pretrain(ds, SCHED, Rng(46), kind=kind, steps=100, batch=64)
     cfg = QipoConfig(
         beta=1.0, m_support=4, k_renew=2, k3=4, batch=64, lr=1e-3, ode_steps=5,
-        eval_every=2, eval_n=64,
+        eval_every=2, eval_n=64, policy_kind=kind,
     )
-    weights_fn, build = rl.support_weights, rl.build_support_set
-    weights, on_caller = [], set()
+    weights_fn, build, embed = rl.support_weights, rl.build_support_set, nn.time_embedding
+    weights, on_caller, fit_on_caller = [], set(), set()
 
     def recorded(q_values, beta):
         weights.append(weights_fn(q_values, beta))
@@ -304,37 +307,46 @@ def _lane_run(monkeypatch, lanes):
         on_caller.add(threading.current_thread() is threading.main_thread())
         return build(*args, **kwargs)
 
+    def embed_recorded(t, *args, **kwargs):
+        if len(t) > 1:  # the sampler embeds its scalar t once, as one row
+            fit_on_caller.add(threading.current_thread() is threading.main_thread())
+        return embed(t, *args, **kwargs)
+
     _force_lanes(monkeypatch, lanes)
     monkeypatch.setattr(rl, "support_weights", recorded)
     monkeypatch.setattr(rl, "build_support_set", build_recorded)
+    monkeypatch.setattr(nn, "time_embedding", embed_recorded)
     result = qipo_iterate(policy, spec.q_values, ds, SCHED, cfg, Rng(47), spec=spec)
     monkeypatch.undo()
-    return result, weights, on_caller
+    return result, weights, on_caller, fit_on_caller
 
 
 def test_qipo_support_lanes_are_bit_identical(monkeypatch):
+    # The forced lane count drives the renewal and the fit: 320 fitted rows
+    # per step, cut into 2 or 4 row blocks.
     before = threading.active_count()
-    one, weights_one, on_caller_one = _lane_run(monkeypatch, 1)
-    runs = [_lane_run(monkeypatch, 2)]
-    # four lanes on two cores, switching threads as often as the interpreter allows
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        runs.append(_lane_run(monkeypatch, 4))
-    finally:
-        sys.setswitchinterval(interval)
-    assert threading.active_count() == before
-    assert on_caller_one == {True}
-    for other, weights, on_caller in runs:
-        assert on_caller == {True, False}
-        assert np.array_equal(one.policy.params, other.policy.params)
-        # two renewals of four batches, each weighed on the calling thread in batch order
-        assert len(weights_one) == len(weights) == 8
-        assert all(np.array_equal(a, b) for a, b in zip(weights_one, weights))
-        for a, b in zip(one.eval_rows, other.eval_rows, strict=True):
-            assert a["epoch"] == b["epoch"] and a["cycles"] == b["cycles"]
-            assert a["sw_distance"] == b["sw_distance"]
-            assert np.array_equal(a["policy_mean"], b["policy_mean"])
+    for kind in ("score", "velocity"):
+        one, weights_one, on_caller_one, fit_one = _lane_run(monkeypatch, 1, kind)
+        runs = [_lane_run(monkeypatch, 2, kind)]
+        # four lanes on two cores, switching threads as often as the interpreter allows
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs.append(_lane_run(monkeypatch, 4, kind))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+        assert on_caller_one == fit_one == {True}
+        for other, weights, on_caller, fit_on_caller in runs:
+            assert on_caller == fit_on_caller == {True, False}
+            assert np.array_equal(one.policy.params, other.policy.params)
+            # two renewals of four batches, each weighed on the calling thread in batch order
+            assert len(weights_one) == len(weights) == 8
+            assert all(np.array_equal(a, b) for a, b in zip(weights_one, weights))
+            for a, b in zip(one.eval_rows, other.eval_rows, strict=True):
+                assert a["epoch"] == b["epoch"] and a["cycles"] == b["cycles"]
+                assert a["sw_distance"] == b["sw_distance"]
+                assert np.array_equal(a["policy_mean"], b["policy_mean"])
 
 
 def test_qipo_divergence_detector_under_two_lanes(monkeypatch):
@@ -363,6 +375,37 @@ def test_a_worker_lanes_sampler_error_reaches_the_caller(monkeypatch):
     assert threading.active_count() == before
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_a_fit_lanes_non_finite_output_reaches_the_caller(monkeypatch):
+    spec = BanditSpec(w=[1.0])
+    ds = make_bandit_dataset(spec, 256, Rng(48))
+    policy = behavior_pretrain(ds, SCHED, Rng(49), steps=50, batch=64)
+    cfg = QipoConfig(beta=1.0, m_support=2, k3=1, batch=64, ode_steps=3, eval_n=16)
+    real = nn.time_embedding
+
+    def poisoned(t, *args, **kwargs):
+        out = real(t, *args, **kwargs)
+        # only the fit's worker lanes (per-row t) meet an infinite input
+        if len(t) > 1 and threading.current_thread() is not threading.main_thread():
+            out[:] = np.inf
+        return out
+
+    steps = []
+    _force_lanes(monkeypatch, 2)
+    monkeypatch.setattr(nn, "time_embedding", poisoned)
+    monkeypatch.setattr(rl, "adam_step", lambda *args: steps.append(args))
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="non-finite network output"):
+        qipo_iterate(policy, spec.q_values, ds, SCHED, cfg, Rng(50), spec=spec)
+    assert threading.active_count() == before
+    assert not steps  # the first fit step raised, not a later one on the calling thread
+
+
+_BLAS_VARS = (
+    "OPENBLAS_NUM_THREADS", "OPENBLAS_DEFAULT_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"
+)
+
+
 @pytest.mark.parametrize(
     "cores, env, n_batches, lanes",
     [
@@ -373,15 +416,113 @@ def test_a_worker_lanes_sampler_error_reaches_the_caller(monkeypatch):
         (1, {"OPENBLAS_NUM_THREADS": "1"}, 8, 1),
         (8, {"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
         (8, {"OPENBLAS_NUM_THREADS": "2"}, 8, 4),
+        (2, {"GOTO_NUM_THREADS": "1"}, 8, 2),
+        (2, {"OPENBLAS_DEFAULT_NUM_THREADS": "1"}, 8, 2),
+        (2, {"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 8, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "2", "OPENBLAS_DEFAULT_NUM_THREADS": "1"}, 8, 1),
     ],
 )
 def test_support_lane_rule(monkeypatch, cores, env, n_batches, lanes):
+    # the environment fallback, read when no OpenBLAS is found
+    monkeypatch.setattr(rl, "_openblas_threads", lambda: None)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    for var in _BLAS_VARS:
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
     assert rl._support_lanes(n_batches) == lanes
+
+
+@pytest.mark.parametrize(
+    "env",
+    [
+        {"GOTO_NUM_THREADS": "1"},
+        {"OPENBLAS_DEFAULT_NUM_THREADS": "1"},
+        {"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"},
+    ],
+    ids=["goto", "openblas-default", "goto-over-omp"],
+)
+def test_lane_rule_takes_the_thread_count_openblas_runs(env):
+    # Each of these starts OpenBLAS on one thread, so two cores give two lanes.
+    code = (
+        "import os; from ewflow import rl; "
+        "os.sched_getaffinity = lambda pid: {0, 1}; "
+        "print(rl._support_lanes(8))"
+    )
+    child = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    child["PYTHONPATH"] = str(Path(rl.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**child, **env}, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["2"]
+
+
+def test_qipo_fit_lanes_write_only_the_callers_buffers():
+    # The benchmark's fit shape on two lanes, one BLAS thread: 8 batches of 128
+    # states x 17 support actions, 2,176 rows per step.  The lanes write only
+    # buffers that the calling thread allocated (workspace rows, per-lane
+    # scratch).  So the fit steps after the first epoch fault nothing in, and
+    # the worker threads' malloc arena does not grow while the fit runs: a
+    # lane temporary allocated on a worker (a (1088, 64) product is 557 kB)
+    # lands there and stays.  The arena is read from glibc's malloc_stats; the
+    # renewal's own draws, which the worker lane returns, come before.
+    code = """
+import ctypes, os, re, resource
+from ewflow import rl, training
+from ewflow.paths import PathSchedule
+from ewflow.rng import Rng
+
+def worker_arena_bytes():
+    stats = getattr(ctypes.CDLL(None), "malloc_stats", None)
+    if stats is None:
+        return 0
+    r, w = os.pipe()
+    saved = os.dup(2)
+    os.dup2(w, 2)
+    stats()
+    os.dup2(saved, 2)
+    os.close(w)
+    os.close(saved)
+    text = os.read(r, 1 << 16).decode()
+    os.close(r)
+    sizes = [int(v) for v in re.findall(r"system bytes\\s*=\\s*(\\d+)", text)]
+    return sum(sizes[1:-1])  # every arena but the main one; the last line is the total
+
+sched, spec = PathSchedule.vp(), rl.BanditSpec(w=[1.0])
+ds = rl.make_bandit_dataset(spec, 1024, Rng(60))
+policy = rl.behavior_pretrain(ds, sched, Rng(61), steps=20, batch=256)
+cfg = rl.QipoConfig(m_support=16, k_renew=3, k3=3, batch=128, ode_steps=2, eval_every=3, eval_n=16)
+rl._support_lanes = lambda n_batches: 2
+faults, arena = [], []
+real_step, real_forward = rl.adam_step, training.forward_cached
+
+def forward(*args, **kwargs):
+    if not arena:
+        arena.append(worker_arena_bytes())
+    return real_forward(*args, **kwargs)
+
+def step(*args):
+    real_step(*args)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    if len(faults) == cfg.k3 * 8:
+        arena.append(worker_arena_bytes())
+
+training.forward_cached, rl.adam_step = forward, step
+rl.qipo_iterate(policy, spec.q_values, ds, sched, cfg, Rng(62), spec=spec)
+counted = len(faults) - 8 - 1
+print((faults[-1] - faults[8]) / (counted * 128 * 17), arena[1] - arena[0])
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(rl.__file__).resolve().parents[1]))
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert out.returncode == 0, out.stderr
+    faults_per_row, arena_growth = out.stdout.split()
+    assert float(faults_per_row) < 0.05
+    assert int(arena_growth) < 64 * 1024
 
 
 def test_policy_draws_use_the_callers_workspace():
